@@ -10,9 +10,9 @@ Measurement protocol (matching ``bench_multitrial``): each rep is a fresh
 network + full sketch-phase run; minima over reps are recorded.  The
 tracked ``speedup`` compares the *similarity-estimation stage* — the part
 the ``acd_sketch_engine`` knob controls; fingerprint hashing is shared by
-both engines (and itself rebuilt batched, see ``minwise_fingerprints``),
-so its seconds are recorded alongside, together with the full
-``acd/sketch`` phase wall-clock per engine.
+both engines (one degree-sorted, sample-at-a-time kernel, see
+``minwise_fingerprints``), so its seconds are recorded alongside,
+together with the full ``acd/sketch`` phase wall-clock per engine.
 
 Quick mode: ``REPRO_BENCH_ACD_N`` / ``REPRO_BENCH_ACD_DEG`` /
 ``REPRO_BENCH_ACD_REPS`` shrink the workload for CI smoke runs.
@@ -74,7 +74,7 @@ def test_e3b_sketch_engine_speedup_tracked(benchmark):
     phase_speedup = phase_s["unpacked"] / max(phase_s["packed"], 1e-9)
 
     rows = [
-        ("fingerprints+exchange (shared, batched)", f"{fp_s['packed']:.3f}"),
+        ("fingerprints+exchange (shared kernel)", f"{fp_s['packed']:.3f}"),
         ("estimate, unpacked (T×m reference)", f"{est_s['unpacked']:.3f}"),
         ("estimate, packed (SWAR words)", f"{est_s['packed']:.4f}"),
         ("estimate-stage speedup", f"{speedup:.1f}x"),

@@ -5,8 +5,10 @@ The BCONGEST almost-clique decomposition (Lemma 2.5, implemented per
 similarity of their neighborhoods from broadcast-size sketches.  We use
 b-bit minwise hashing: per sample ``j`` a shared hash ``h_j`` (the top 32
 bits of splitmix64) orders the vertex universe; each node's fingerprint is
-the low ``b`` bits of the minimum hash over its closed neighborhood —
-computed batched over sample chunks, see :func:`minwise_fingerprints`.
+the low ``b`` bits of the minimum hash over its closed neighborhood.
+:func:`minwise_fingerprints` computes them one sample at a time over a
+degree-sorted column layout of the adjacency, so each sample costs
+O(n + m) gathers and the working set stays O(n + m).
 :func:`pack_fingerprints` packs the samples ⌊64/b⌋ per uint64 word for the
 SWAR similarity estimator.  Two nodes' fingerprints agree
 with probability ``J + (1-J)·2^{-b}`` where ``J`` is the Jaccard similarity
@@ -37,6 +39,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# The fingerprint kernel folds neighbour columns while at least
+# 1/_TAIL_FRACTION of the rows still have a neighbour left; past that cut
+# the few high-degree rows finish with one reduceat per sample.
+_TAIL_FRACTION = 32
+
 
 def hash_u64(value: int, salt: int = 0) -> int:
     """Deterministic 64-bit hash (splitmix64 finalizer) of ``value`` under
@@ -48,54 +55,105 @@ def hash_u64(value: int, salt: int = 0) -> int:
 
 
 def mix_u64(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer over an (any-shape) uint64 array.  The
-    building block shared by :func:`hash_array_u64` and the counter-mode
-    batch expansion in :mod:`repro.hashing.prg`."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer over an (any-shape) uint64 array, applied
+    in place: ``z`` is overwritten and returned.  The building block
+    shared by :func:`hash_array_u64` and the counter-mode batch expansion
+    in :mod:`repro.hashing.prg`.  Array arithmetic wraps mod 2⁶⁴ without
+    overflow warnings."""
+    t = np.empty_like(z)
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mul)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
     return z
 
 
 def hash_array_u64(values: np.ndarray, salt: int = 0) -> np.ndarray:
     """Vectorized splitmix64 over an int array (returns uint64)."""
-    with np.errstate(over="ignore"):
-        z = values.astype(np.uint64) + np.uint64((_GAMMA * (int(salt) + 1)) & _MASK64)
+    z = values.astype(np.uint64)
+    z += np.uint64((_GAMMA * (int(salt) + 1)) & _MASK64)
     return mix_u64(z)
 
 
-# Per-chunk gather budget for the batched fingerprint kernel: chunks are
-# sized so a chunk's gather temporary stays around this many bytes.
-_CHUNK_BYTES = 32 << 20
-# The padded-dense path gathers n·(Δ+1) elements per sample; fall back to
-# the CSR reduceat path when the padding waste over nnz+n exceeds this
-# factor (skewed degree sequences) or the padded table itself is huge.
-_PAD_WASTE_LIMIT = 4
-_PAD_ELEMENT_CAP = 1 << 25
+def _column_layout(
+    indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """Degree-sorted column layout of the CSR ``(indptr, indices)``.
+
+    Returns ``(order, columns, tail, tail_starts)``.  ``order`` sorts the
+    rows by decreasing degree (stable); column ``c`` holds the c-th
+    neighbour of every row with degree > c, so each column is a prefix of
+    that order.  Columns stop once fewer than R/_TAIL_FRACTION rows
+    remain; the remaining neighbours of those first ``tail_starts.size``
+    rows lie in ``tail``, segmented at ``tail_starts`` for one
+    ``minimum.reduceat``, so a star needs O(1) columns rather than O(Δ).
+    """
+    rows = indptr.size - 1
+    indices = np.asarray(indices, dtype=np.intp)
+    deg = np.diff(indptr)
+    order = np.argsort(-deg, kind="stable")
+    sdeg = deg[order]
+    starts = indptr[:-1][order]
+    # Column width: the degree of the ⌈R/_TAIL_FRACTION⌉-th row.
+    width = int(sdeg[-(-rows // _TAIL_FRACTION) - 1])
+    lengths = np.searchsorted(-sdeg, -np.arange(width + 1), side="left")
+    columns = [indices[starts[:L] + c] for c, L in enumerate(lengths[:-1])]
+    tail_rows = int(lengths[-1])
+    tail_deg = sdeg[:tail_rows] - width
+    tail_starts = np.cumsum(tail_deg) - tail_deg
+    tail = indices[
+        np.arange(int(tail_deg.sum()))
+        + np.repeat(starts[:tail_rows] + width - tail_starts, tail_deg)
+    ]
+    return order, columns, tail, tail_starts
 
 
-def _padded_closed_adjacency(
-    indptr: np.ndarray, indices: np.ndarray, n: int
-) -> tuple[np.ndarray, int] | None:
-    """Flat ``(n · width)`` closed-adjacency table, each node's row
-    ``[v, neighbors..., v, v, ...]`` padded *with the node itself* — extra
-    copies of v never change a closed-neighborhood min, so no sentinel is
-    needed.  Returns None when padding to ``width = Δ+1`` would waste too
-    much over the CSR size (the reduceat path wins there)."""
-    degrees = np.diff(indptr)
-    width = int(degrees.max()) + 1 if n else 1
-    total = n * width
-    if total > _PAD_ELEMENT_CAP or total > max(
-        _PAD_WASTE_LIMIT * (indices.size + n), 1 << 16
-    ):
-        return None
-    padded = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
-    if indices.size:
-        rows = np.repeat(np.arange(n), degrees)
-        cols = np.arange(indices.size) - np.repeat(indptr[:-1], degrees) + 1
-        padded[rows, cols] = indices
-    return padded.ravel(), width
+def _closed_minima(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    ids: np.ndarray,
+    num_samples: int,
+    bits: int,
+    salt: int,
+) -> np.ndarray:
+    """``(T, R)`` b-bit minwise fingerprints of the closed neighbourhoods
+    of the R rows of the CSR ``(indptr, indices)``.
+
+    Row ``v`` is node ``ids[v]``; ``indices`` are positions in ``ids``, so
+    a caller may hash any sub-universe of node ids (``ids`` may be longer
+    than R: neighbours need not own a row).  Sample ``j`` hashes ``ids``
+    under salt ``salt*T + j``.
+
+    Over the layout of :func:`_column_layout`, each column folds into the
+    running minimum with one contiguous ``np.minimum`` and the tail rows
+    finish with one ``minimum.reduceat`` per sample.
+    """
+    rows = indptr.size - 1
+    fps = np.empty((num_samples, rows), dtype=np.uint16)
+    if rows == 0 or num_samples == 0:
+        return fps
+    order, columns, tail, tail_starts = _column_layout(indptr, indices)
+    tail_rows = tail_starts.size
+    unsort = np.argsort(order)
+    mask = np.uint32((1 << bits) - 1)
+    base = int(salt) * int(num_samples)
+    buf = np.empty(rows, dtype=np.uint32)
+    for j in range(num_samples):
+        h = (hash_array_u64(ids, base + j) >> np.uint64(32)).astype(np.uint32)
+        m = h.take(order)
+        for col in columns:
+            # Every index is in range, so mode="wrap" changes nothing but
+            # skips the copy numpy buffers ``out`` through under "raise".
+            head = m[: col.size]
+            np.minimum(head, h.take(col, out=buf[: col.size], mode="wrap"), out=head)
+        if tail_rows:
+            head = m[:tail_rows]
+            np.minimum(head, np.minimum.reduceat(h.take(tail), tail_starts), out=head)
+        m &= mask
+        fps[j] = m.take(unsort)
+    return fps
 
 
 def minwise_fingerprints(
@@ -108,20 +166,13 @@ def minwise_fingerprints(
 ) -> np.ndarray:
     """b-bit minwise fingerprints of the *closed* neighborhoods.
 
-    The sample loop is batched: a chunk of Tc hash functions is one
-    vectorized splitmix64 evaluation over a ``(Tc, n)`` salt×node grid
-    (per-sample salts broadcast down the rows), and the per-neighborhood
-    minima of a whole chunk are folded by array kernels instead of T
-    python-level iterations.  Two equivalent gather strategies are chosen
-    from the graph's shape (identical outputs either way):
-
-    * *padded-dense* — gather each sample's hashes through a self-padded
-      ``(n, Δ+1)`` closed-adjacency table and take one contiguous
-      ``min(axis=1)`` (SIMD-friendly; the default for near-regular
-      degree sequences, where padding waste is small);
-    * *CSR reduceat* — gather ``h.take(indices, axis=1)`` once per chunk
-      and fold the node segments with one axis-1 ``minimum.reduceat``
-      (no padding waste; used for skewed degree sequences).
+    One sample at a time: hash the n node ids (one splitmix64 pass, top
+    32 bits), seed a running minimum with each node's own hash, and fold
+    the neighbours in column by column over a degree-sorted layout built
+    once per call (see :func:`_closed_minima`).  Every sample gathers
+    exactly n + nnz hashes; the layout is one copy of the CSR indices and
+    the per-sample buffers are O(n), so memory stays O(n + nnz) beside
+    the ``(T, n)`` output.
 
     Hashes are the top 32 bits of splitmix64: halving the lane width
     halves gather traffic through the hot path, and at simulable n the
@@ -146,43 +197,9 @@ def minwise_fingerprints(
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
-    fps = np.empty((num_samples, n), dtype=np.uint16)
-    if n == 0 or num_samples == 0:
-        return fps
-    node_ids = np.arange(n, dtype=np.uint64)
-    mask = np.uint32((1 << bits) - 1)
-    base = int(salt) * int(num_samples)
-    pad = _padded_closed_adjacency(indptr, indices, n)
-    if pad is not None:
-        flat, width = pad
-        row_bytes = 4 * n
-    else:
-        has_nbrs = np.diff(indptr) > 0
-        starts = indptr[:-1][has_nbrs]
-        row_bytes = 4 * max(int(indices.size), n)
-    chunk = int(np.clip(_CHUNK_BYTES // row_bytes, 1, num_samples))
-    for j0 in range(0, num_samples, chunk):
-        j1 = min(j0 + chunk, num_samples)
-        # salt j enters splitmix64 as an additive offset γ·(salt+1); the
-        # whole chunk shares one vectorized mix.
-        salts = np.arange(base + j0 + 1, base + j1 + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            offsets = salts * np.uint64(_GAMMA)
-            h64 = mix_u64(node_ids[None, :] + offsets[:, None])
-        h = (h64 >> np.uint64(32)).astype(np.uint32)
-        if pad is not None:
-            for t in range(j1 - j0):
-                mins = h[t].take(flat).reshape(n, width).min(axis=1)
-                fps[j0 + t] = (mins & mask).astype(np.uint16)
-        else:
-            # Min over the closed neighborhood N[v] = {v} ∪ N(v).
-            m = h.copy()
-            if indices.size:
-                gathered = h.take(indices, axis=1)
-                mins = np.minimum.reduceat(gathered, starts, axis=1)
-                m[:, has_nbrs] = np.minimum(m[:, has_nbrs], mins)
-            fps[j0:j1] = (m & mask).astype(np.uint16)
-    return fps
+    return _closed_minima(
+        indptr[: n + 1], indices, np.arange(n), num_samples, bits, salt
+    )
 
 
 def refresh_minwise_fingerprints(
@@ -200,12 +217,12 @@ def refresh_minwise_fingerprints(
     :func:`minwise_fingerprints` call on the current CSR, restricted to
     the listed nodes.
 
-    This is the delta-aware sketch maintenance path (ISSUE 10): a node's
+    This is the delta-aware sketch maintenance path: a node's
     fingerprint is a pure function of ``(salt, sample, N[v])``, so after
     a topology delta only nodes whose *closed* neighborhood changed need
-    re-hashing.  The hash grid is evaluated only over the closed
-    neighborhoods of ``nodes`` (their ids plus their current neighbors),
-    so the cost is ``O(T · (|nodes| + Σ deg(nodes)))`` instead of
+    re-hashing.  The same kernel runs over the refreshed nodes' local
+    universe (their ids plus their current neighbors, relabelled), so the
+    cost is ``O(T · (|nodes| + Σ deg(nodes)))`` instead of
     ``O(T · (n + m))``.
 
     ``fps`` must have shape ``(num_samples, n)`` and dtype uint16, and
@@ -221,41 +238,17 @@ def refresh_minwise_fingerprints(
         raise ValueError(f"node id out of range [0, {n})")
     if nodes.size == 0 or num_samples == 0:
         return fps
-    deg = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
-    total = int(deg.sum())
-    if total:
-        # Concatenated adjacency of the refreshed rows (one fancy gather).
-        row_base = np.concatenate(([0], np.cumsum(deg)[:-1]))
-        idx = np.arange(total, dtype=np.int64) + np.repeat(
-            indptr[nodes] - row_base, deg
-        )
-        nb = np.asarray(indices[idx], dtype=np.int64)
-    else:
-        nb = np.empty(0, dtype=np.int64)
-    universe = np.union1d(nodes, nb)
-    pos_self = np.searchsorted(universe, nodes)
-    has_nbrs = deg > 0
-    if total:
-        pos_nb = np.searchsorted(universe, nb)
-        starts = row_base[has_nbrs]
-    u64_universe = universe.astype(np.uint64)
-    mask = np.uint32((1 << bits) - 1)
-    base = int(salt) * int(num_samples)
-    row_bytes = 4 * max(universe.size + nb.size, 1)
-    chunk = int(np.clip(_CHUNK_BYTES // row_bytes, 1, num_samples))
-    for j0 in range(0, num_samples, chunk):
-        j1 = min(j0 + chunk, num_samples)
-        salts = np.arange(base + j0 + 1, base + j1 + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            offsets = salts * np.uint64(_GAMMA)
-            h64 = mix_u64(u64_universe[None, :] + offsets[:, None])
-        h = (h64 >> np.uint64(32)).astype(np.uint32)
-        m = h[:, pos_self]
-        if total:
-            gathered = h[:, pos_nb]
-            mins = np.minimum.reduceat(gathered, starts, axis=1)
-            m[:, has_nbrs] = np.minimum(m[:, has_nbrs], mins)
-        fps[j0:j1, nodes] = (m & mask).astype(np.uint16)
+    deg = indptr[nodes + 1] - indptr[nodes]
+    local_ptr = np.concatenate(([0], np.cumsum(deg)))
+    nb = indices[
+        np.arange(int(local_ptr[-1])) + np.repeat(indptr[nodes] - local_ptr[:-1], deg)
+    ]
+    # Local ids: the refreshed nodes own rows 0..k-1, then the neighbours
+    # that are not refreshed themselves.
+    ids = np.concatenate((nodes, np.setdiff1d(nb, nodes)))
+    rank = np.argsort(ids)
+    local_nb = rank[np.searchsorted(ids, nb, sorter=rank)]
+    fps[:, nodes] = _closed_minima(local_ptr, local_nb, ids, num_samples, bits, salt)
     return fps
 
 
@@ -273,18 +266,17 @@ def pack_fingerprints(fps: np.ndarray, bits: int) -> np.ndarray:
     Sample j lands in word ``j // fields`` at bit offset
     ``(j % fields) * bits``; unused tail fields (and the ``64 % b``
     leftover bits when b ∤ 64) stay zero, so XOR-ing two packed rows
-    yields zero in every non-sample field.
+    yields zero in every non-sample field.  Each sample's row is OR-ed
+    into a ``(words, n)`` accumulator, transposed once at the end.
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
     num_samples, n = fps.shape
     fields = 64 // bits
-    words = packed_words_per_node(num_samples, bits)
     if fps.size and int(fps.max()) >> bits:
         raise ValueError(f"fingerprint value exceeds {bits} bits")
-    padded = np.zeros((n, words * fields), dtype=np.uint64)
-    padded[:, :num_samples] = fps.T
-    shifts = (np.arange(fields, dtype=np.uint64) * np.uint64(bits))[None, None, :]
-    return np.bitwise_or.reduce(
-        padded.reshape(n, words, fields) << shifts, axis=2
-    )
+    acc = np.zeros((packed_words_per_node(num_samples, bits), n), dtype=np.uint64)
+    for j in range(num_samples):
+        word, field = divmod(j, fields)
+        acc[word] |= fps[j].astype(np.uint64) << np.uint64(field * bits)
+    return np.ascontiguousarray(acc.T)

@@ -110,7 +110,7 @@ class TestMinwise:
             minwise_fingerprints(net.indptr, net.indices, net.n, 4, bits=0)
 
     def test_batched_matches_naive_per_sample(self):
-        """The chunk-batched kernel must equal the definition: per sample,
+        """The fingerprint kernel must equal the definition: per sample,
         fingerprint[v] = (min over N[v] of the 32-bit hash) & mask."""
         net = BroadcastNetwork((9, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5), (7, 8)]))
         T, bits, salt = 37, 3, 5

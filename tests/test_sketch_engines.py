@@ -9,7 +9,12 @@ Covers the three contracts the `acd_sketch_engine` knob rests on:
    neighborhoods on small random graphs;
 3. the packing layout, the round accounting, and the `acd/sketch` phase
    timing behave as documented.
+
+It also pins the fingerprint kernel underneath both engines to its
+per-sample definition and bounds its traced memory.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +30,10 @@ from repro.decomposition.minhash import (
     compute_sketches,
     estimate_edge_similarity,
 )
+from repro.graphs.families import make_graph
 from repro.hashing.fingerprints import (
-    _padded_closed_adjacency,
+    _column_layout,
+    hash_array_u64,
     minwise_fingerprints,
     pack_fingerprints,
     packed_words_per_node,
@@ -100,20 +107,95 @@ class TestEngineEquivalence:
             compute_sketches(net, 8, 2, salt=0, engine="simd")
 
     def test_padded_and_reduceat_paths_agree(self, monkeypatch):
-        """The two gather strategies inside minwise_fingerprints are an
-        internal choice; forcing the fallback must not change a bit."""
+        """The column/tail split inside minwise_fingerprints is an
+        internal choice; forcing every neighbour through the columns, or
+        all but the least degree through the reduceat tail, must not
+        change a bit."""
         g = gnp_graph(64, 0.2, seed=6)
         net = BroadcastNetwork(g)
-        fast = minwise_fingerprints(net.indptr, net.indices, net.n, 50, 3, salt=4)
-        monkeypatch.setattr(fingerprints_mod, "_PAD_ELEMENT_CAP", 0)
-        slow = minwise_fingerprints(net.indptr, net.indices, net.n, 50, 3, salt=4)
-        assert np.array_equal(fast, slow)
+        default = minwise_fingerprints(net.indptr, net.indices, net.n, 50, 3, salt=4)
+        for cut in (net.n + 1, 1):
+            monkeypatch.setattr(fingerprints_mod, "_TAIL_FRACTION", cut)
+            forced = minwise_fingerprints(
+                net.indptr, net.indices, net.n, 50, 3, salt=4
+            )
+            assert np.array_equal(default, forced)
 
     def test_skewed_graph_uses_reduceat_fallback(self):
-        # A star's Δ+1 = n padding would square the CSR size; the helper
-        # must decline so the kernel takes the reduceat path.
+        # A star's hub would need Δ = n-1 columns; the layout must stop at
+        # one column and hand the hub's other neighbours to the tail.
         net = BroadcastNetwork((4000, [(0, i) for i in range(1, 4000)]))
-        assert _padded_closed_adjacency(net.indptr, net.indices, net.n) is None
+        order, columns, tail, tail_starts = _column_layout(net.indptr, net.indices)
+        assert order[0] == 0 and len(columns) == 1
+        assert tail_starts.tolist() == [0] and tail.size == 3998
+
+
+def naive_fingerprints(net, samples, bits, salt):
+    """The definition, one sample and one node at a time: fingerprint[j, v]
+    is the low b bits of the least 32-bit hash over N[v]."""
+    ids = np.arange(net.n, dtype=np.int64)
+    out = np.empty((samples, net.n), dtype=np.uint16)
+    for j in range(samples):
+        h = hash_array_u64(ids, salt=salt * samples + j) >> np.uint64(32)
+        for v in range(net.n):
+            closed = np.append(net.neighbors(v), v)
+            out[j, v] = int(h[closed].min()) & ((1 << bits) - 1)
+    return out
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(0, 70))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, 69), st.integers(0, 69)), max_size=150)
+    )
+    return n, [(u % n, v % n) for u, v in edges if n and u % n != v % n]
+
+
+@st.composite
+def hub_graphs(draw):
+    """A hub over ``spokes`` nodes, a matching among the spokes and
+    isolated nodes past them: the hub's degree exceeds every other
+    node's, and n > 32 puts it past the column cut into the reduceat
+    tail."""
+    n = draw(st.integers(33, 90))
+    spokes = draw(st.integers(3, n - 1))
+    edges = [(0, s) for s in range(1, spokes + 1)]
+    pairs = draw(st.integers(0, spokes // 2))
+    edges += [(2 * i + 1, 2 * i + 2) for i in range(pairs)]
+    return n, edges
+
+
+class TestFingerprintKernel:
+    """minwise_fingerprints against its per-sample definition, and its
+    memory footprint."""
+
+    @given(
+        graph=st.one_of(random_graphs(), hub_graphs()),
+        samples=st.integers(0, 12),
+        bits=st.sampled_from([1, 2, 3, 5, 8, 16]),
+        salt=st.integers(0, 2**20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_sample_definition(self, graph, samples, bits, salt):
+        net = BroadcastNetwork(graph)
+        got = minwise_fingerprints(
+            net.indptr, net.indices, net.n, samples, bits, salt=salt
+        )
+        assert got.shape == (samples, net.n) and got.dtype == np.uint16
+        assert np.array_equal(got, naive_fingerprints(net, samples, bits, salt))
+
+    def test_sketch_memory_stays_linear(self):
+        """The sketch's traced peak, packing included, stays under twice
+        the (T, n) uint16 fingerprints plus the CSR indices."""
+        net = BroadcastNetwork(make_graph("geometric", 20_000, 20, 0))
+        tracemalloc.start()
+        try:
+            sk = compute_sketches(net, 256, 2, salt=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (sk.fingerprints.nbytes + net.indices.nbytes)
 
 
 class TestJaccardConvergence:

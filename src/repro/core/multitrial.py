@@ -23,12 +23,13 @@ Execution engines (DESIGN.md §4): the round is a pure function of the
 per-node expansions, so the adoption rule admits two implementations that
 must agree entry for entry.
 
-* ``"vectorized"`` (default) — the whole iteration runs on the CSR edge
-  arrays: the (A×k) proposal matrix is built in one call, colored-neighbor
-  collisions die via a sorted join (``searchsorted`` over per-node sorted
-  neighbor colors), smaller-ID expansion collisions die via a sorted
-  membership join over per-node sorted expansions, and each row adopts its
-  first surviving column with one ``argmax``.  No per-node Python.
+* ``"vectorized"`` (default) — the whole iteration runs on the active
+  nodes' CSR rows: the (A×k) proposal matrix is built in one call,
+  colored-neighbor collisions die via a sorted join (``searchsorted``
+  over per-node sorted neighbor colors), smaller-ID expansion collisions
+  die via a sorted membership join over per-node sorted expansions, and
+  each row adopts its first surviving column with one ``argmax``.  No
+  per-node Python.
 * ``"pernode"`` — the reference loop (one node at a time), kept for the
   engine-equivalence tests and the tracked perf baseline
   (``BENCH_multitrial.json``).
@@ -156,7 +157,8 @@ def _resolve_pernode(
 def _resolve_vectorized(
     state: ColoringState, active: np.ndarray, proposals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-wise adoption over the CSR arrays — no per-node Python.
+    """Edge-wise adoption over the active nodes' CSR rows (``active`` is
+    sorted) — no per-node Python.
 
     Kill rule (a): a proposal equal to any colored neighbor's color dies.
     Sorted join: pack (row, color) pairs of colored neighbors into integer
@@ -184,13 +186,13 @@ def _resolve_vectorized(
     ) + 2
     sentinel = span - 1  # never a real color on either side of a join
 
-    src, dst = net.edge_src, net.indices
+    # Kills land only on active rows, so only their CSR rows matter.
+    src, dst = net.frontier_edges(active)
     src_pos = pos[src]
-    src_active = src_pos >= 0
 
     # --- rule (a): colored-neighbor collisions -------------------------
     dst_colors = state.colors[dst]
-    am = src_active & (dst_colors >= 0)
+    am = dst_colors >= 0
     colored_keys = np.unique(src_pos[am] * span + dst_colors[am])
     row_base = np.arange(a_count, dtype=np.int64)[:, None] * span
     query = row_base + np.where(proposals >= 0, proposals, sentinel)
@@ -201,7 +203,7 @@ def _resolve_vectorized(
     killed = killed.reshape(a_count, k)
 
     # --- rule (b): smaller-ID active neighbors' expansions -------------
-    bm = src_active & (pos[dst] >= 0) & (dst < src)
+    bm = (pos[dst] >= 0) & (dst < src)
     if bm.any():
         v_rows = src_pos[bm]          # the node whose proposals may die
         u_rows = pos[dst[bm]]          # the smaller-ID active neighbor

@@ -9,7 +9,9 @@ the paper's invariants as hard assertions:
   color on two adjacent nodes (either against already-colored neighbors or
   within the adopting batch itself).
 
-Everything is vectorized over the network's CSR arrays; palettes are
+Everything is vectorized over the network's CSR arrays, and per-batch
+work (adoption checks, grouped palettes) gathers only the batch's own
+rows (:meth:`BroadcastNetwork.frontier_edges`); palettes are
 materialized per node on demand (the palette of Definition 2.10 is the
 complement of the colored neighborhood).
 """
@@ -201,10 +203,10 @@ class ColoringState:
         hi_v = np.clip(hi_v, 0, self.num_colors)
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[nodes] = np.arange(b)
-        src, dst = self.net.edge_src, self.net.indices
+        src, dst = self.net.frontier_edges(np.sort(nodes))
         rows = pos[src]
         cols = self.colors[dst]
-        keep = (rows >= 0) & (cols >= 0)
+        keep = cols >= 0
         rows, cols = rows[keep], cols[keep]
         in_interval = (cols >= lo_v[rows]) & (cols < hi_v[rows])
         rows, cols = rows[in_interval], cols[in_interval]
@@ -243,17 +245,11 @@ class ColoringState:
             raise ImproperColoring("color out of palette range")
         proposal = self.colors.copy()
         proposal[nodes] = new_colors
-        # Edge-wise propriety check on the would-be coloring, restricted to
-        # edges touching the batch.
-        touched = np.zeros(self.n, dtype=bool)
-        touched[nodes] = True
-        src, dst = self.net.edge_src, self.net.indices
-        rel = touched[src]
-        bad = (
-            rel
-            & (proposal[src] >= 0)
-            & (proposal[src] == proposal[dst])
-        )
+        # Edge-wise propriety check on the would-be coloring, over the
+        # batch's own CSR rows only (sorted, so the first bad edge is the
+        # first in CSR order).
+        src, dst = self.net.frontier_edges(np.sort(nodes))
+        bad = (proposal[src] >= 0) & (proposal[src] == proposal[dst])
         if bad.any():
             k = int(np.flatnonzero(bad)[0])
             raise ImproperColoring(

@@ -6,10 +6,12 @@ The control loop per :class:`~repro.dynamic.events.UpdateBatch`
 1. **delta** — departures expand to their incident edges; the whole batch
    lands in one :meth:`BroadcastNetwork.apply_delta` sorted merge, with
    announcement rounds/bits charged to ``dynamic/delta``.
-2. **detect** — vectorized conflict detection on the new CSR: the larger
-   endpoint of every monochromatic edge loses its color, as does any node
-   whose color fell out of the new palette [Δ_t+1] (Δ shrank).  Changed
-   neighborhoods re-sync with one color broadcast from touched nodes.
+2. **detect** — delta-scoped conflict detection: while the pre-batch
+   coloring is proper only the batch's inserted edges can be
+   monochromatic, so one endpoint of each monochromatic inserted edge
+   loses its color, as does any node whose color fell out of the new
+   palette [Δ_t+1] (Δ shrank).  Changed neighborhoods re-sync with one
+   color broadcast from touched nodes.
 3. **repair** — the conflict set + arrivals re-run the *existing* batched
    kernels as subroutines: MultiTrial (seed broadcasts, geometric try
    growth) when the set is large enough to warrant it, then TryColor
@@ -74,19 +76,17 @@ def _palette_sizes(
     net: BroadcastNetwork,
     colors: np.ndarray,
     num_colors: int,
-    only: np.ndarray | None = None,
+    only: np.ndarray,
 ) -> np.ndarray:
     """|Ψ(v)| under palette ``[num_colors]`` — the standalone form of
     :meth:`ColoringState.palette_sizes`, tolerant of out-of-range colors
     (a neighbor colored beyond the palette forbids nothing inside it,
-    which matters mid-detect when Δ just shrank).  ``only`` (bool mask)
-    restricts the work to the listed nodes' neighborhoods; entries
-    outside it are meaningless."""
-    src = net.edge_src
-    dst_colors = colors[net.indices]
+    which matters mid-detect when Δ just shrank).  ``only`` (sorted
+    unique node ids) restricts the work to those nodes' CSR rows;
+    entries outside it are meaningless."""
+    src, dst = net.frontier_edges(only)
+    dst_colors = colors[dst]
     ok = (dst_colors >= 0) & (dst_colors < num_colors)
-    if only is not None:
-        ok &= only[src]
     if not ok.any():
         return np.full(net.n, num_colors, dtype=np.int64)
     pairs = src[ok].astype(np.int64) * (num_colors + 1) + dst_colors[ok]
@@ -130,12 +130,9 @@ def conflict_victims(
         return out
     if num_colors is None:
         num_colors = net.delta + 1
-    # Palette sizes only for the conflict endpoints' neighborhoods — the
-    # conflict set is tiny next to the graph, so don't pay O(m log m).
-    endpoints = np.zeros(net.n, dtype=bool)
-    endpoints[hi] = True
-    endpoints[lo] = True
-    pal = _palette_sizes(net, colors, num_colors, only=endpoints)
+    # Palette sizes only for the conflict endpoints' rows — the conflict
+    # set is tiny next to the graph, so don't pay O(m).
+    pal = _palette_sizes(net, colors, num_colors, only=np.union1d(hi, lo))
     pick_hi = pal[hi] >= pal[lo]
     out[hi[pick_hi]] = True
     out[lo[~pick_hi]] = True
@@ -323,11 +320,12 @@ class DynamicColoring:
         instead of running the full pipeline on the initial graph.  Used
         by :func:`repro.serve.snapshot.restore_engine` (crash recovery /
         warm restarts) and by ``repro serve`` when the initial coloring
-        comes from :class:`~repro.shard.ShardedColoring`.  The caller
-        vouches that the coloring is proper and complete on ``active``
-        nodes — the usual post-batch invariant; ``initial_rounds`` /
-        ``initial_seconds`` are reported as 0 (the cost was paid
-        elsewhere).
+        comes from :class:`~repro.shard.ShardedColoring`.  The coloring
+        must be proper and color every ``active`` node inside [Δ+1) —
+        the usual post-batch invariant, which delta-scoped detection
+        relies on; one O(m) check at construction raises ``ValueError``
+        otherwise.  ``initial_rounds`` / ``initial_seconds`` are
+        reported as 0 (the cost was paid elsewhere).
     active:
         Active-node mask to adopt alongside ``initial_colors`` (default:
         all nodes active).  Only meaningful on the warm-start path.
@@ -374,6 +372,7 @@ class DynamicColoring:
                         f"active shape {adopted.shape} != ({self.net.n},)"
                     )
                 self.active = adopted
+            self._check_warm_start()
             self.initial_rounds = 0
             self.initial_seconds = 0.0
             return
@@ -384,6 +383,24 @@ class DynamicColoring:
         self.colors = result.colors.copy()
         self.initial_rounds = self.net.metrics.total_rounds - rounds0
         self.initial_seconds = time.perf_counter() - t0
+
+    def _check_warm_start(self) -> None:
+        """One O(m) check of an adopted coloring: proper, and every active
+        node colored inside [Δ+1).  Delta-scoped detection relies on the
+        pre-batch coloring being proper, so a warm start is checked, not
+        vouched for."""
+        if not self.is_proper():
+            hi, lo = monochromatic_edges(self.net, self.colors)
+            raise ValueError(
+                f"initial_colors is not proper: edge ({int(lo[0])}, "
+                f"{int(hi[0])}) is monochromatic"
+            )
+        c = self.colors[self.active]
+        if ((c < 0) | (c > self.net.delta)).any():
+            raise ValueError(
+                f"initial_colors leaves an active node outside "
+                f"[0, {self.net.delta + 1})"
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -432,10 +449,7 @@ class DynamicColoring:
         deletions = batch.delete_edges
         dep_incident = np.empty((0, 2), dtype=np.int64)
         if batch.departures.size:
-            dep_mask = np.zeros(net.n, dtype=bool)
-            dep_mask[batch.departures] = True
-            und = net.undirected_edges()
-            dep_incident = und[dep_mask[und[:, 0]] | dep_mask[und[:, 1]]]
+            dep_incident = np.stack(net.frontier_edges(batch.departures), axis=1)
             deletions = np.concatenate([deletions.reshape(-1, 2), dep_incident])
         with metrics.time_phase("dynamic/delta"):
             delta_rep = net.apply_delta(
@@ -516,13 +530,24 @@ class DynamicColoring:
         node whose color fell out of the shrunken palette.  Does not
         mutate ``self.colors`` — the caller clears the victims.
 
-        Overridable seam: :class:`~repro.shard.dynamic.ShardedDynamicColoring`
-        replaces the full edge scan with a delta-routed check over the
-        batch's inserted edges (the only edges that can become
-        monochromatic while the pre-batch invariant holds)."""
+        Delta-scoped: while the pre-batch coloring is proper (the
+        post-batch invariant, checked at warm start), deletions and
+        departures cannot create a monochromatic edge and no untouched
+        edge's endpoint colors changed, so only the batch's *inserted*
+        pairs can be monochromatic.  The victim rule runs on those plus
+        the O(n) out-of-palette vector — the same set the full scan
+        (:func:`monochromatic_edges`) yields, at delta cost."""
         c = self.colors
+        ins = batch.insert_edges
+        hi = np.maximum(ins[:, 0], ins[:, 1])
+        lo = np.minimum(ins[:, 0], ins[:, 1])
+        mono = (c[hi] >= 0) & (c[hi] == c[lo])
         conflict = conflict_victims(
-            self.net, c, policy=self.cfg.conflict_victim, num_colors=num_colors
+            self.net,
+            c,
+            policy=self.cfg.conflict_victim,
+            num_colors=num_colors,
+            edges=(hi[mono], lo[mono]),
         )
         conflict |= self.active & (c >= num_colors)
         return conflict

@@ -612,11 +612,18 @@ class ColoringServer:
             self.initial_mode = "sharded" if engine.k > 1 else "pipeline"
         elif initial == "sharded":
             sharded = ShardedColoring((frame.n, edges), cfg).run()
-            engine = DynamicColoring(
-                (frame.n, edges), cfg, initial_colors=sharded.colors
-            )
-            initial_rounds = int(sharded.rounds_total)
-            self.initial_mode = "sharded"
+            if sharded.proper and sharded.complete:
+                engine = DynamicColoring(
+                    (frame.n, edges), cfg, initial_colors=sharded.colors
+                )
+                self.initial_mode = "sharded"
+            else:
+                # Reconciliation stopped at shard_reconcile_max_iters with
+                # cut conflicts left; the engine refuses an improper warm
+                # start, so color through the pipeline instead.
+                engine = DynamicColoring((frame.n, edges), cfg)
+                self.initial_mode = "pipeline"
+            initial_rounds = int(sharded.rounds_total) + int(engine.initial_rounds)
         else:
             engine = DynamicColoring((frame.n, edges), cfg)
             initial_rounds = int(engine.initial_rounds)

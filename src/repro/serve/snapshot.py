@@ -270,12 +270,14 @@ def restore_engine(
     behaves exactly as the snapshotted engine's would have: same
     topology, same colors, same batch index, same derived seed streams.
 
-    With ``fallback=True`` a torn or corrupt current snapshot falls back
-    to the rotated previous generations (``path.1``, ``path.2``, … — see
+    With ``fallback=True`` a torn or corrupt current snapshot — or a
+    readable one whose coloring fails the engine's warm-start check
+    (improper, or an active node outside [Δ+1)) — falls back to the
+    rotated previous generations (``path.1``, ``path.2``, … — see
     :func:`save_snapshot`'s ``keep``), newest first; restoring an older
     generation simply resumes from an earlier ``batch_index``, and
     replaying the missing batches reproduces the exact same colors.  If
-    every generation is unreadable the *first* error is re-raised.
+    every generation is unusable the *first* error is re-raised.
     """
     candidates = snapshot_generations(path) if fallback else [Path(path)]
     if not candidates:
@@ -284,13 +286,7 @@ def restore_engine(
     for i, candidate in enumerate(candidates):
         try:
             info, arrays = load_snapshot(candidate)
-            if i > 0:
-                print(
-                    f"[serve] snapshot {path} unreadable; restored previous "
-                    f"generation {candidate} (batch_index={info.batch_index})",
-                    file=sys.stderr,
-                )
-            return DynamicColoring(
+            engine = DynamicColoring(
                 (info.n, arrays["edges"]),
                 info.config,
                 initial_colors=arrays["colors"],
@@ -300,5 +296,13 @@ def restore_engine(
         except (ValueError, OSError) as exc:
             if first_exc is None:
                 first_exc = exc
+            continue
+        if i > 0:
+            print(
+                f"[serve] snapshot {path} unusable; restored previous "
+                f"generation {candidate} (batch_index={info.batch_index})",
+                file=sys.stderr,
+            )
+        return engine
     assert first_exc is not None
     raise first_exc

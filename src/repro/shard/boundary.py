@@ -136,10 +136,12 @@ def _endpoint_slack(
     nodes: np.ndarray,
     num_colors: int,
 ) -> np.ndarray:
-    """Palette slack |Ψ(v)| for ``nodes`` only — the shard-local mirror
-    of :func:`repro.dynamic.engine._palette_sizes`, touching just the
-    endpoints' CSR rows.  Both owners of a cut edge compute this from
-    the same exchanged colors, so the slack victim rule stays symmetric."""
+    """Palette slack |Ψ(v)| for ``nodes`` only — the raw-CSR mirror of
+    :func:`repro.dynamic.engine._palette_sizes` (which gathers the same
+    endpoint rows through ``BroadcastNetwork.frontier_edges``), usable
+    on read-only shared-memory buffers.  Both owners of a cut edge
+    compute this from the same exchanged colors, so the slack victim
+    rule stays symmetric."""
     nb = gather_csr_rows(indptr, indices, nodes)
     deg = indptr[nodes + 1] - indptr[nodes]
     owner = np.repeat(np.arange(nodes.size, dtype=np.int64), deg)

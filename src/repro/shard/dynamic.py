@@ -8,16 +8,10 @@ subsystem's partition/boundary-exchange geometry.  The driver,
 accounting, the report contract, and the ``run`` loop are *inherited* —
 at ``k == 1`` no sharded code path executes at all and the engine is
 byte-identical to the unsharded one (colors, rounds, bits, seeds; the
-benchmark gates this).  At ``k > 1`` three seams are overridden:
+benchmark gates this).  Detection is the parent's delta-scoped check
+for every k (DESIGN.md §6).  At ``k > 1`` two seams are overridden:
 
-1. **delta-routed detect** — while the pre-batch invariant holds
-   (proper coloring), a delta can only create monochromatic edges among
-   the batch's *inserted* edges: deletions and departures never create
-   conflicts, and no other edge's endpoint colors changed.  Detection
-   therefore checks the inserted pairs plus the O(n) out-of-palette
-   vector instead of scanning all m edges — provably the same conflict
-   set as the full scan, at delta cost.
-2. **shard-local repair** — victims are routed to their owning shards
+1. **shard-local repair** — victims are routed to their owning shards
    by one partition-index lookup; each touched shard repairs its own
    nodes on a halo-sized scratch network via the *same*
    :func:`~repro.shard.boundary.repair_boundary` kernel the static
@@ -25,7 +19,7 @@ benchmark gates this).  At ``k > 1`` three seams are overridden:
    disjoint by ownership, so the driver merges them exactly as the
    static path does, and the shard metrics fold in under the
    parallel-composition rule.
-3. **cut reconciliation, delta-scaled** — only edges incident to nodes
+2. **cut reconciliation, delta-scaled** — only edges incident to nodes
    recolored *this batch* can have become monochromatic across the cut,
    so each sweep gathers the cross-shard pairs from the recolored
    nodes' CSR rows (cost ∝ Σ deg(recolored), never the full cut) and
@@ -51,7 +45,7 @@ from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring
 from repro.decomposition.acd import decompose_from_sketch
 from repro.decomposition.minhash import SimilaritySketch
-from repro.dynamic.engine import BatchReport, DynamicColoring, conflict_victims
+from repro.dynamic.engine import BatchReport, DynamicColoring
 from repro.dynamic.events import ChurnSchedule, UpdateBatch
 from repro.hashing.fingerprints import (
     minwise_fingerprints,
@@ -61,7 +55,6 @@ from repro.hashing.fingerprints import (
 from repro.shard.boundary import repair_boundary
 from repro.shard.engine import ShardedColoring
 from repro.shard.partition import partition_nodes
-from repro.simulator.network import gather_csr_rows
 from repro.simulator.rng import SeedSequencer
 from repro.util.bitio import bits_for_color
 
@@ -75,7 +68,7 @@ class ShardedDynamicColoring(DynamicColoring):
     ``apply_batch``/``run`` surface, same :class:`BatchReport` contract,
     same invariants after every batch.  ``k == 1`` *is* the unsharded
     engine (every override delegates, nothing sharded runs); ``k > 1``
-    routes detection and repair to the shards the delta touches and
+    routes repair to the shards the delta touches and
     reconciles only delta-incident cut edges (module docstring).
 
     >>> from repro.graphs.families import make_churn
@@ -99,7 +92,8 @@ class ShardedDynamicColoring(DynamicColoring):
         The warm-start path, exactly as in the parent.  Without
         ``initial_colors`` the initial coloring runs through
         :class:`~repro.shard.engine.ShardedColoring` when ``k > 1``
-        (same partition), through the pipeline when ``k == 1``.
+        (same partition), through the pipeline when ``k == 1`` or when
+        the sharded result is improper or incomplete.
     """
 
     def __init__(
@@ -124,13 +118,21 @@ class ShardedDynamicColoring(DynamicColoring):
         if self.k > 1 and initial_colors is None:
             sharded = ShardedColoring(graph, cfg, k=self.k, strategy=self.strategy)
             res = sharded.run()
-            super().__init__(
-                sharded.net, cfg,
-                initial_colors=res.colors,
-                batch_index=batch_index,
-            )
-            self.initial_rounds = int(res.rounds_total)
-            self.initial_seconds = float(res.seconds)
+            if res.proper and res.complete:
+                super().__init__(
+                    sharded.net, cfg,
+                    initial_colors=res.colors,
+                    batch_index=batch_index,
+                )
+                self.initial_rounds = int(res.rounds_total)
+                self.initial_seconds = float(res.seconds)
+            else:
+                # Reconciliation stopped at shard_reconcile_max_iters with
+                # cut conflicts left; the parent refuses an improper warm
+                # start, so color through the pipeline instead.
+                super().__init__(sharded.net, cfg, batch_index=batch_index)
+                self.initial_rounds += int(res.rounds_total)
+                self.initial_seconds += float(res.seconds)
             self._part = sharded._part
         else:
             super().__init__(
@@ -155,8 +157,8 @@ class ShardedDynamicColoring(DynamicColoring):
     # ------------------------------------------------------------------
     def apply_batch(self, batch: UpdateBatch) -> BatchReport:
         """Apply one update batch and restore the coloring invariant —
-        the parent's control loop verbatim, with sharded seams (detect /
-        repair / fallback) substituted when ``k > 1``.  Also accumulates
+        the parent's control loop verbatim, with sharded seams (repair /
+        fallback) substituted when ``k > 1``.  Also accumulates
         the delta's endpoints into the ACD dirty set for the delta-aware
         re-sketch."""
         if self.k > 1 and self.cfg.dynamic_shard_resketch:
@@ -174,40 +176,7 @@ class ShardedDynamicColoring(DynamicColoring):
         dirty[batch.arrivals] = True
         if batch.departures.size:
             dirty[batch.departures] = True
-            dep_mask = np.zeros(self.net.n, dtype=bool)
-            dep_mask[batch.departures] = True
-            und = self.net.undirected_edges()
-            inc = und[dep_mask[und[:, 0]] | dep_mask[und[:, 1]]]
-            if inc.size:
-                dirty[inc.reshape(-1)] = True
-
-    # ------------------------------------------------------------------
-    def _detect_conflicts(self, batch: UpdateBatch, num_colors: int) -> np.ndarray:
-        """Delta-routed detection (k > 1): while the pre-batch invariant
-        holds, only the batch's inserted edges can be monochromatic, so
-        the victim rule runs on those pairs plus the O(n) out-of-palette
-        vector — the same conflict set the parent's full edge scan
-        produces, at delta cost.  ``k == 1`` delegates to the parent."""
-        if self.k == 1:
-            return super()._detect_conflicts(batch, num_colors)
-        c = self.colors
-        ins = batch.insert_edges
-        if ins.size:
-            hi = np.maximum(ins[:, 0], ins[:, 1])
-            lo = np.minimum(ins[:, 0], ins[:, 1])
-            mono = (c[hi] >= 0) & (c[hi] == c[lo])
-            edges = (hi[mono], lo[mono])
-        else:
-            e = np.empty(0, dtype=np.int64)
-            edges = (e, e)
-        conflict = conflict_victims(
-            self.net, c,
-            policy=self.cfg.conflict_victim,
-            num_colors=num_colors,
-            edges=edges,
-        )
-        conflict |= self.active & (c >= num_colors)
-        return conflict
+            dirty[self.net.frontier_edges(batch.departures)[1]] = True
 
     # ------------------------------------------------------------------
     def _repair(self, repair_set: np.ndarray, num_colors: int, t: int) -> bool:
@@ -269,13 +238,7 @@ class ShardedDynamicColoring(DynamicColoring):
         can have turned monochromatic.  Cost ∝ Σ deg(nodes)."""
         net = self.net
         assignment = self._part.assignment
-        if not nodes.size:
-            return np.empty((0, 2), dtype=np.int64)
-        nb = gather_csr_rows(net.indptr, net.indices, nodes)
-        if not nb.size:
-            return np.empty((0, 2), dtype=np.int64)
-        deg = net.indptr[nodes + 1] - net.indptr[nodes]
-        src = np.repeat(nodes, deg)
+        src, nb = net.frontier_edges(nodes)
         cross = assignment[src] != assignment[nb]
         if not cross.any():
             return np.empty((0, 2), dtype=np.int64)

@@ -369,6 +369,17 @@ class BroadcastNetwork:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency_set(u)
 
+    def frontier_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` of every directed edge leaving ``nodes`` (sorted,
+        unique ids), in CSR order — the same arrays as
+        ``(edge_src[k], indices[k])`` for ``k`` the edges whose source is
+        in ``nodes``.  Cost ∝ the frontier's rows, so a round kernel over
+        a small active set never touches all m edges."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        return np.repeat(nodes, self.degrees[nodes]), gather_csr_rows(
+            self.indptr, self.indices, nodes
+        )
+
     def undirected_edges(self) -> np.ndarray:
         """(m, 2) array of unique undirected edges (u < v)."""
         return self._und_edges

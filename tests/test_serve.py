@@ -552,6 +552,23 @@ class TestLiveServer:
                 assert pal.color in pal.free
                 subset = client.query_colors(nodes=[0])
                 assert subset.colors == [pal.color]
+                # A sharded coloring whose reconciliation stops at the cap
+                # with cut conflicts left is improper; the load falls back
+                # to the pipeline instead of failing the warm-start check.
+                loaded = client.load_graph(
+                    n, edges, seed=seed, initial="sharded", shard_k=3,
+                    shard_reconcile_max_iters=0,
+                )
+                assert loaded.initial == "pipeline"
+                colors = client.query_colors()
+                assert colors.proper and colors.complete
+                loaded = client.load_graph(
+                    n, edges, seed=seed, backend="sharded", shard_k=3,
+                    shard_reconcile_max_iters=1,
+                )
+                assert loaded.backend == "sharded"
+                colors = client.query_colors()
+                assert colors.proper and colors.complete
                 client.shutdown()
             proc.wait(timeout=20)
         finally:

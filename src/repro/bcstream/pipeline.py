@@ -27,6 +27,7 @@ from repro.bcstream.memory import MemoryExceeded, MemoryMeter
 from repro.bcstream.palette_stream import streaming_palette_lookup
 from repro.config import ColoringConfig
 from repro.core.algorithm import BroadcastColoring, ColoringResult
+from repro.core.putaside import compress_try_k
 from repro.simulator.rng import SeedSequencer
 from repro.util.mathx import poly_log
 
@@ -84,7 +85,7 @@ def _phase_memory_audit(cfg: ColoringConfig, n: int, delta: int) -> dict[str, in
         "learn-palette": z0 // 64 + 2,
         "permute": x_labels + 4,
         "prefix-sums": z0 + 2,
-        "putaside": cfg.compress_try_colors * max(1, cfg.compress_try_repeats)
+        "putaside": compress_try_k(cfg) * max(1, cfg.compress_try_repeats)
         + cfg.putaside_size(n)
         + 2,
         "cleanup": 2,

@@ -12,7 +12,14 @@ contains a common neighbor of u and w).
 
 The implementation runs the actual protocol (random ranges, per-node
 bitmaps, OR over in-clique neighbors) and reports per-node completeness,
-so the w.h.p. statement of Lemma 4.2 is measurable.
+so the w.h.p. statement of Lemma 4.2 is measurable.  It runs as one
+array kernel per clique: the in-clique edges come from one gather of the
+members' rows, the bitmaps are scattered from them, and every member's
+OR over its in-clique neighbors is one adjacency product
+``known_used = A_K·(bitmaps ∨ onehot(colors)) ∨ own color``, taken over the
+columns of C(K) only — every color a member can learn is held by a
+member, and while the SCT runs most of K is uncolored.  The per-member
+loops are kept as test oracles in ``tests/oracles/dense_endgame.py``.
 """
 
 from __future__ import annotations
@@ -67,43 +74,43 @@ def learn_palette(
     rng = seq.stream("learn-palette", phase, tag)
     t = rng.integers(0, k, size=size)
 
-    member_row = {int(v): i for i, v in enumerate(members)}
-    in_clique = np.zeros(net.n, dtype=bool)
-    in_clique[members] = True
+    # In-clique edges (row → row) from the members' own CSR rows.
+    src_row, dst = net.row_edges(members)
+    order = np.argsort(members, kind="stable")
+    pos = np.minimum(np.searchsorted(members[order], dst), size - 1)
+    inside = members[order][pos] == dst
+    src_row, dst_row = src_row[inside], order[pos[inside]]
+    nbr_cols = state.colors[dst[inside]]
 
-    # Step 1: per-member bitmap of its range ∩ colors of in-clique neighbors.
-    bitmaps = np.zeros((size, num_colors), dtype=bool)
-    for i, v in enumerate(members):
-        lo, hi = int(bounds[t[i]]), int(bounds[t[i] + 1])
-        nbrs = net.neighbors(int(v))
-        nbrs = nbrs[in_clique[nbrs]]
-        cols = state.colors[nbrs]
-        cols = cols[(cols >= lo) & (cols < hi)]
-        bitmaps[i, cols] = True
+    # Only colors of C(K) can be learned: the kernel works on its columns.
+    own = state.colors[members]
+    colored = np.flatnonzero(own >= 0)
+    true_used = np.zeros(num_colors, dtype=bool)
+    true_used[own[colored]] = True
+    column = np.cumsum(true_used) - 1  # color → column of C(K)
+
+    # Step 1: per-member bitmap of its range ∩ colors of in-clique
+    # neighbors; the sender's own color rides along as a one-hot column.
+    lo, hi = bounds[t], bounds[t + 1]
+    in_range = (nbr_cols >= lo[src_row]) & (nbr_cols < hi[src_row])
+    sent = np.zeros((size, int(true_used.sum())), dtype=np.float32)
+    sent[src_row[in_range], column[nbr_cols[in_range]]] = 1.0
+    sent[colored, column[own[colored]]] = 1.0
 
     # Step 2: each member ORs the bitmaps of its in-clique neighbors
-    # (grouped by range via t, which travels with the bitmap).
+    # (grouped by range via t, which travels with the bitmap), so it also
+    # knows its neighbors' own colors — one product with the in-clique
+    # adjacency A_K — and it knows its own color.
+    adj = np.zeros((size, size), dtype=np.float32)
+    adj[src_row, dst_row] = 1.0
+    learned = (adj @ sent) > 0
+    learned[colored, column[own[colored]]] = True
     known_used = np.zeros((size, num_colors), dtype=bool)
-    for i, v in enumerate(members):
-        nbrs = net.neighbors(int(v))
-        nbrs = nbrs[in_clique[nbrs]]
-        rows = np.array([member_row[int(u)] for u in nbrs], dtype=np.int64)
-        if rows.size:
-            known_used[i] = bitmaps[rows].any(axis=0)
-        # v also knows the colors of its own neighbors directly, and its own.
-        cols = state.colors[nbrs]
-        known_used[i, cols[cols >= 0]] = True
-        if state.colors[members[i]] >= 0:
-            known_used[i, state.colors[members[i]]] = True
-
-    true_used = np.zeros(num_colors, dtype=bool)
-    mc = state.colors[members]
-    true_used[mc[mc >= 0]] = True
+    known_used[:, true_used] = learned
 
     # Completeness: over-approximation is impossible (bitmaps only carry
     # genuinely used colors); count members that *missed* colors.
-    missed = (~known_used & true_used[None, :]).any(axis=1)
-    incomplete = int(missed.sum())
+    incomplete = int((~learned).any(axis=1).sum())
 
     # One broadcast round: bitmap (range length bits) + the range index.
     range_len = int((bounds[1:] - bounds[:-1]).max()) if k else num_colors

@@ -16,11 +16,34 @@ be colored purely inside K:
 2. Once |P̂_K| = O(log n / log log n), nodes broadcast entire candidate
    lists using O(log log n)-bit color indices and finish by simulating the
    greedy with no further communication (Lemma 3.10).
+
+Execution.  Because no edge joins two put-aside sets, one clique's
+adoptions never change another clique's palettes, lists or pending set,
+so :func:`color_putaside_sets` runs each stage for the pending nodes of
+every full clique at once, on arrays with one row per pending node
+(grouped by clique, ID order within a clique):
+
+* Ψ(K) of every clique is one ``bincount`` over the members' colors and
+  Ψ(v) one gather of the pending rows (:meth:`BroadcastNetwork.row_edges`),
+  once per stage — Ψ(v) cannot change between the log log n instances.
+* The augmented lists of the second stage and of the finish never have
+  to be built: a color free at v that some member holds is held by a
+  non-neighbor, so (Ψ(K) ∪ C(K∖N(v))) ∩ Ψ(v) = Ψ(v).  Only the list
+  *length* enters (the bit accounting), and |C(K∖N(v))| is the number of
+  colors c with cnt_K(c) > cnt_{N(v)∩K}(c).
+* An instance draws every node's k samples first, each from the node's
+  own stream (the keys a node would use; one stream construction per
+  node and instance is the floor of this kernel), then replays the
+  ID-order greedy over the drawn samples.
+
+The per-node forms live in ``tests/oracles/dense_endgame.py``; the
+equivalence tests hold the kernels to them color for color and bit for
+bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +58,7 @@ __all__ = [
     "PutAsideReport",
     "select_putaside_sets",
     "compress_try",
+    "compress_try_k",
     "color_putaside_sets",
 ]
 
@@ -103,15 +127,11 @@ def select_putaside_sets(
         volunteer_mask[chosen] = True
         candidates_by_clique[c] = chosen
 
-    # Withdraw on cross-clique volunteer adjacency.
-    src, dst = net.edge_src, net.indices
-    cross = (
-        volunteer_mask[src]
-        & volunteer_mask[dst]
-        & (clique_of[src] != clique_of[dst])
-    )
+    # Withdraw on cross-clique volunteer adjacency (volunteers' rows only).
+    src, dst = net.frontier_edges(np.flatnonzero(volunteer_mask))
+    cross = volunteer_mask[dst] & (clique_of[src] != clique_of[dst])
     withdraw = np.zeros(net.n, dtype=bool)
-    np.logical_or.at(withdraw, src[cross], True)
+    withdraw[src[cross]] = True
 
     result: dict[int, np.ndarray] = {}
     for c, chosen in candidates_by_clique.items():
@@ -135,6 +155,75 @@ def select_putaside_sets(
 # ---------------------------------------------------------------------------
 
 
+def compress_try_k(cfg: ColoringConfig) -> int:
+    """k: the colors every CompressTry node samples, sends and is charged
+    for — at least one, whatever ``cfg.compress_try_colors`` says."""
+    return max(1, cfg.compress_try_colors)
+
+
+def _palettes(state: ColoringState, nodes: np.ndarray) -> np.ndarray:
+    """Ψ(v) (Definition 2.10) of each of the distinct ``nodes``, as the
+    rows of a ``(len(nodes), num_colors)`` bool matrix."""
+    rows, dst = state.net.row_edges(nodes)
+    cols = state.colors[dst]
+    held = cols >= 0
+    free = np.ones((nodes.size, state.num_colors), dtype=bool)
+    free[rows[held], cols[held]] = False
+    return free
+
+
+def _flat_lists(usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a bool matrix as sorted color lists in CSR form:
+    row i's list is ``values[offsets[i]:offsets[i + 1]]``."""
+    offsets = np.zeros(usable.shape[0] + 1, dtype=np.int64)
+    np.cumsum(usable.sum(axis=1), out=offsets[1:])
+    return np.nonzero(usable)[1].astype(np.int64), offsets
+
+
+def _presample(
+    nodes: list[int],
+    values: np.ndarray,
+    offsets: np.ndarray,
+    k: int,
+    seq: SeedSequencer,
+    tags: list[object],
+) -> np.ndarray:
+    """Every node's k samples, uniform with replacement from its usable
+    list ``values[offsets[i]:offsets[i + 1]]``; −1 rows where the list is
+    empty (such a node draws and sends nothing).  Node i draws from its
+    own stream, keyed ``("compress-try", nodes[i], tags[i])``."""
+    sizes = np.diff(offsets)
+    samples = np.full((len(nodes), k), -1, dtype=np.int64)
+    live = np.flatnonzero(sizes)
+    draws = np.empty((live.size, k), dtype=np.int64)
+    for j, (i, size) in enumerate(zip(live.tolist(), sizes[live].tolist())):
+        rng = seq.node_stream("compress-try", nodes[i], tags[i])
+        draws[j] = rng.integers(0, size, size=k)
+    samples[live] = values[offsets[live, None] + draws]
+    return samples
+
+
+def _greedy(groups: list[int], candidates: np.ndarray) -> tuple[list[int], list[int]]:
+    """The sequential greedy every node replays locally: rows in ID order
+    within each group (clique), each takes its first candidate color that
+    no earlier row of its group took (−1 ends a row's candidates).
+    Returns the picking rows and colors."""
+    taken: dict[int, set[int]] = {}
+    rows_out: list[int] = []
+    colors_out: list[int] = []
+    for i, (g, row) in enumerate(zip(groups, candidates.tolist())):
+        seen = taken.setdefault(g, set())
+        for c in row:
+            if c < 0:
+                break
+            if c not in seen:
+                seen.add(c)
+                rows_out.append(i)
+                colors_out.append(c)
+                break
+    return rows_out, colors_out
+
+
 def compress_try(
     state: ColoringState,
     s_nodes: np.ndarray,
@@ -143,62 +232,38 @@ def compress_try(
     seq: SeedSequencer,
     tag: object = 0,
 ) -> tuple[list[int], list[int]]:
-    """One CompressTry instance: returns (nodes, colors) the sequential
-    ID-order greedy would color.  Nothing is adopted here — the caller
-    composes instances (the §3.3 log log n parallel repetitions) and adopts
-    the best outcome.
+    """One CompressTry instance over the distinct ``s_nodes``: returns
+    (nodes, colors) the sequential ID-order greedy would color.  Nothing
+    is adopted here — :func:`color_putaside_sets` composes instances (the
+    §3.3 log log n parallel repetitions) and adopts the best outcome.
 
     Every node v pre-samples k colors from L(v) ∩ Ψ(v); in ID order, v
     takes its first sample not already taken by a smaller-ID node of S.
     """
-    k = max(1, cfg.compress_try_colors)
     order = np.sort(np.asarray(s_nodes, dtype=np.int64))
-    taken: set[int] = set()
-    nodes_out: list[int] = []
-    colors_out: list[int] = []
-    for v in order:
-        v = int(v)
+    allowed = np.zeros((order.size, state.num_colors), dtype=bool)
+    for i, v in enumerate(order.tolist()):
         lv = lists.get(v)
-        if lv is None or lv.size == 0:
-            continue
-        pal = state.palette(v)
-        usable = np.intersect1d(lv, pal, assume_unique=False)
-        if usable.size == 0:
-            continue
-        rng = seq.node_stream("compress-try", v, tag)
-        samples = usable[rng.integers(0, usable.size, size=k)]
-        for c in samples:
-            c = int(c)
-            if c not in taken:
-                taken.add(c)
-                nodes_out.append(v)
-                colors_out.append(c)
-                break
-    return nodes_out, colors_out
-
-
-def _clique_palette(state: ColoringState, members: np.ndarray) -> np.ndarray:
-    """Ψ(K) = [Δ+1] \\ C(K) (Definition 2.7)."""
-    used = np.zeros(state.num_colors, dtype=bool)
-    mc = state.colors[members]
-    used[mc[mc >= 0]] = True
-    return np.flatnonzero(~used).astype(np.int64)
-
-
-def _anti_neighbor_colors(
-    state: ColoringState, members: np.ndarray, v: int
-) -> np.ndarray:
-    """C(K \\ N(v)): colors of v's anti-neighbors inside K — the list
-    augmentation of Lemma 3.13's second stage."""
-    nbrs = set(int(u) for u in state.net.neighbors(v))
-    anti = [int(u) for u in members if int(u) != v and int(u) not in nbrs]
-    cols = state.colors[np.asarray(anti, dtype=np.int64)] if anti else np.empty(0, dtype=np.int64)
-    return np.unique(cols[cols >= 0]).astype(np.int64)
+        if lv is not None:
+            lv = np.asarray(lv, dtype=np.int64)
+            allowed[i, lv[(lv >= 0) & (lv < state.num_colors)]] = True
+    values, offsets = _flat_lists(allowed & _palettes(state, order))
+    nodes = order.tolist()
+    samples = _presample(nodes, values, offsets, compress_try_k(cfg), seq, [tag] * len(nodes))
+    rows, colors = _greedy([0] * len(nodes), samples)
+    return [nodes[i] for i in rows], colors
 
 
 # ---------------------------------------------------------------------------
 # Coloring the put-aside sets (Lemmas 3.10, 3.13)
 # ---------------------------------------------------------------------------
+
+
+def _waves(msg_bits: int, budget: int | None) -> tuple[int, int]:
+    """(waves, bits per wave) to ship ``msg_bits`` under the bandwidth."""
+    if budget is not None and msg_bits > budget:
+        return int(np.ceil(msg_bits / budget)), budget
+    return 1, msg_bits
 
 
 def color_putaside_sets(
@@ -209,134 +274,156 @@ def color_putaside_sets(
     seq: SeedSequencer,
     phase: str = "putaside",
 ) -> PutAsideReport:
-    """Color every put-aside set.  Put-aside sets have no cross edges, so
-    cliques are processed independently (simultaneously in model time)."""
+    """Color every put-aside set.  Put-aside sets have no cross edges
+    (Lemma 3.4), so the cliques run simultaneously, in model time and in
+    the arrays: each stage handles the pending nodes of every clique."""
     net = state.net
     report = PutAsideReport()
-    log_thr = cfg.log_threshold(net.n)
-
-    max_compress_rounds = 0
-    max_finish_rounds = 0
-    compress_msgs: list[tuple[int, int]] = []  # (participants, bits) per clique
-    finish_msgs: list[tuple[int, int]] = []
+    keys: list = []  # the putaside keys, as given: they enter stream keys
+    pend: list[np.ndarray] = []
     for c, p_nodes in putaside.items():
-        members = info.members(c)
-        pending = p_nodes[state.colors[p_nodes] < 0]
-        if pending.size == 0:
-            continue
-
-        # --- reduction stage(s) via CompressTry ---
-        stages: list[dict[int, np.ndarray]] = []
-        psi_k = _clique_palette(state, members)
-        if info.a_k[c] >= log_thr:
-            # Colorful matching gave the clique palette surplus a_K ≥ a_v:
-            # the clique palette alone suffices (first case of Lemma 3.13).
-            stages.append({int(v): psi_k for v in pending})
-        else:
-            # Two-stage: clique palette first, then augmented lists with
-            # anti-neighbor colors (second case of Lemma 3.13).
-            stages.append({int(v): psi_k for v in pending})
-            stages.append(
-                {
-                    int(v): np.union1d(
-                        psi_k, _anti_neighbor_colors(state, members, int(v))
-                    )
-                    for v in pending
-                }
-            )
-
-        rounds_here = 0
-        for stage_idx, lists in enumerate(stages):
-            pending = pending[state.colors[pending] < 0]
-            if pending.size == 0:
-                break
-            # log log n independent instances in parallel; adopt the best.
-            best: tuple[list[int], list[int]] = ([], [])
-            for rep in range(max(1, cfg.compress_try_repeats)):
-                nodes_out, colors_out = compress_try(
-                    state, pending, lists, cfg, seq, tag=(c, stage_idx, rep)
-                )
-                if len(nodes_out) > len(best[0]):
-                    best = (nodes_out, colors_out)
-            if best[0]:
-                state.adopt(
-                    np.asarray(best[0], dtype=np.int64),
-                    np.asarray(best[1], dtype=np.int64),
-                )
-                report.colored += len(best[0])
-            # Bits: k color-indices per instance, all instances in one
-            # Many-to-All wave (2 rounds).
-            list_size = max((arr.size for arr in lists.values()), default=1)
-            msg_bits = (
-                cfg.compress_try_colors
-                * max(1, cfg.compress_try_repeats)
-                * bits_for_int(max(list_size, 2))
-                + bits_for_id(net.n)
-            )
-            waves = 1
-            budget = net.bandwidth_bits
-            if budget is not None and msg_bits > budget:
-                waves = int(np.ceil(msg_bits / budget))
-                msg_bits = budget
-            compress_msgs.append((int(pending.size), msg_bits))
-            rounds_here += 2 * waves
-        max_compress_rounds = max(max_compress_rounds, rounds_here)
-
-        # --- finish (Lemma 3.10): broadcast lists, simulate greedy ---
-        pending = p_nodes[state.colors[p_nodes] < 0]
+        pending = np.sort(p_nodes[state.colors[p_nodes] < 0]).astype(np.int64)
         if pending.size:
-            psi_k = _clique_palette(state, members)
-            nodes_fin: list[int] = []
-            cols_fin: list[int] = []
-            taken: set[int] = set()
-            for v in np.sort(pending):
-                v = int(v)
-                lv = np.union1d(psi_k, _anti_neighbor_colors(state, members, v))
-                pal = state.palette(v)
-                usable = np.setdiff1d(
-                    np.intersect1d(lv, pal), np.asarray(sorted(taken), dtype=np.int64)
-                )
-                if usable.size:
-                    cchoice = int(usable[0])
-                    taken.add(cchoice)
-                    nodes_fin.append(v)
-                    cols_fin.append(cchoice)
-            if nodes_fin:
-                state.adopt(
-                    np.asarray(nodes_fin, dtype=np.int64),
-                    np.asarray(cols_fin, dtype=np.int64),
-                )
-                report.colored += len(nodes_fin)
-            # Bits: |P̂_K|+1 colors of O(log log n) bits each.
-            color_code_bits = bits_for_int(
-                max(int(poly_log(net.n, 3.0, 1.0)), 2)
-            )
-            msg_bits = (pending.size + 1) * max(1, color_code_bits // 2)
-            budget = net.bandwidth_bits
-            waves = 1
-            if budget is not None and msg_bits > budget:
-                waves = int(np.ceil(msg_bits / budget))
-                msg_bits = budget
-            finish_msgs.append((int(pending.size), msg_bits))
-            max_finish_rounds = max(max_finish_rounds, 2 * waves)
-
-    # Cliques run in parallel: charge the max round count once, with the
-    # aggregate message volume.
-    if compress_msgs:
-        total_part = sum(p for p, _ in compress_msgs)
-        bit_level = max(b for _, b in compress_msgs)
-        for _ in range(max_compress_rounds):
-            net.account_vector_round(total_part, bit_level, phase=phase)
-    if finish_msgs:
-        total_part = sum(p for p, _ in finish_msgs)
-        bit_level = max(b for _, b in finish_msgs)
-        for _ in range(max_finish_rounds):
-            net.account_vector_round(total_part, bit_level, phase=phase)
-
-    report.compress_rounds = max_compress_rounds
-    report.finish_rounds = max_finish_rounds
-    leftovers = 0
-    for c, p_nodes in putaside.items():
-        leftovers += int((state.colors[p_nodes] < 0).sum())
-    report.left_uncolored = leftovers
+            keys.append(c)
+            pend.append(pending)
+    if keys:
+        report.compress_rounds, report.finish_rounds = _color_pending(
+            state, info, keys, pend, cfg, seq, phase, report
+        )
+    report.left_uncolored = sum(
+        int((state.colors[p_nodes] < 0).sum()) for p_nodes in putaside.values()
+    )
     return report
+
+
+def _color_pending(
+    state: ColoringState,
+    info: CliqueInfo,
+    keys: list,
+    pend: list[np.ndarray],
+    cfg: ColoringConfig,
+    seq: SeedSequencer,
+    phase: str,
+    report: PutAsideReport,
+) -> tuple[int, int]:
+    """The CompressTry stages and the finish for the non-empty pending
+    sets ``pend`` of the cliques ``keys``; returns (compress, finish)
+    rounds.  Row r is node ``nodes[r]`` of clique slot ``group[r]``."""
+    net = state.net
+    nc = state.num_colors
+    num = len(keys)
+    k = compress_try_k(cfg)
+    repeats = max(1, cfg.compress_try_repeats)
+    clique_ids = np.asarray(keys, dtype=np.int64)
+    nodes = np.concatenate(pend)
+    group = np.repeat(np.arange(num), [p.size for p in pend])
+    starts = np.concatenate(([0], np.cumsum([p.size for p in pend])[:-1]))
+
+    # Member color counts cnt_K(c) of every clique: Ψ(K) = {c : cnt_K(c) = 0}.
+    members = [info.members(c) for c in keys]
+    slot = np.repeat(np.arange(num), [m.size for m in members])
+    mcols = state.colors[np.concatenate(members)]
+    held = mcols >= 0
+    cnt_k = np.bincount(
+        slot[held] * nc + mcols[held], minlength=num * nc
+    ).reshape(num, nc)
+    distinct_k = (cnt_k > 0).sum(axis=1)
+
+    # Stage 0 lists Ψ(K) (first case of Lemma 3.13).  Cliques whose
+    # colorful matching left a_K below the threshold get a second stage
+    # with lists Ψ(K) ∪ C(K∖N(v)), fixed now.  By the identity of the
+    # module docstring the second stage's usable lists are Ψ(v), and only
+    # the list length |Ψ(K)| + max_v |C(K∖N(v))| is needed.
+    two_stage = ~(info.a_k[clique_ids] >= cfg.log_threshold(net.n))
+    list_sizes = [nc - distinct_k]
+    if two_stage.any():
+        rows_e, dst = net.row_edges(nodes)
+        cols_e = state.colors[dst]
+        inside = (cols_e >= 0) & (info.labels[dst] == clique_ids[group[rows_e]])
+        pairs, cnt_nk = np.unique(
+            rows_e[inside] * nc + cols_e[inside], return_counts=True
+        )
+        prow, pcol = pairs // nc, pairs % nc
+        covered = np.bincount(
+            prow[cnt_nk == cnt_k[group[prow], pcol]], minlength=nodes.size
+        )
+        anti = distinct_k[group] - covered
+        list_sizes.append(list_sizes[0] + np.maximum.reduceat(anti, starts))
+
+    id_bits = bits_for_id(net.n)
+    rounds = np.zeros(num, dtype=np.int64)
+    total_part, bit_level = 0, 0
+    for stage, list_size in enumerate(list_sizes):
+        rows = np.flatnonzero(state.colors[nodes] < 0)
+        if stage:
+            rows = rows[two_stage[group[rows]]]
+        if rows.size == 0:
+            break
+        g = group[rows]
+        usable = _palettes(state, nodes[rows])
+        if stage == 0:
+            usable &= cnt_k[g] == 0
+        values, offsets = _flat_lists(usable)
+        node_list, g_list = nodes[rows].tolist(), g.tolist()
+        # log log n independent instances in parallel; each clique adopts
+        # its first instance with the most colored nodes.
+        best_n = np.zeros(num, dtype=np.int64)
+        best_rep = np.full(num, -1, dtype=np.int64)
+        pick_rows, pick_cols, pick_rep = [], [], []
+        for rep in range(repeats):
+            tags = [(keys[s], stage, rep) for s in g_list]
+            samples = _presample(node_list, values, offsets, k, seq, tags)
+            prow, pcol = _greedy(g_list, samples)
+            n_rep = np.bincount(g[prow], minlength=num)
+            better = n_rep > best_n
+            best_n[better] = n_rep[better]
+            best_rep[better] = rep
+            pick_rows += prow
+            pick_cols += pcol
+            pick_rep += [rep] * len(prow)
+        win = best_rep[g[pick_rows]] == np.asarray(pick_rep, dtype=np.int64)
+        if win.any():
+            state.adopt(
+                nodes[rows][np.asarray(pick_rows)[win]],
+                np.asarray(pick_cols, dtype=np.int64)[win],
+            )
+            report.colored += int(win.sum())
+        # Bits: k color indices per instance, all instances in one
+        # Many-to-All wave (2 rounds) per bandwidth-sized chunk.
+        part = np.bincount(g, minlength=num)
+        for s in np.flatnonzero(part).tolist():
+            msg_bits = k * repeats * bits_for_int(max(int(list_size[s]), 2)) + id_bits
+            waves, msg_bits = _waves(msg_bits, net.bandwidth_bits)
+            total_part += int(part[s])
+            bit_level = max(bit_level, msg_bits)
+            rounds[s] += 2 * waves
+    compress_rounds = int(rounds.max())
+    for _ in range(compress_rounds):
+        net.account_vector_round(total_part, bit_level, phase=phase)
+
+    # Finish (Lemma 3.10): lists are broadcast, and every node simulates
+    # the greedy — in ID order, v takes the smallest color of its list ∩
+    # Ψ(v) = Ψ(v) that no smaller-ID node of its clique took.
+    rows = np.flatnonzero(state.colors[nodes] < 0)
+    if rows.size == 0:
+        return compress_rounds, 0
+    ascending = np.where(_palettes(state, nodes[rows]), np.arange(nc), nc)
+    ascending.sort(axis=1)
+    ascending[ascending == nc] = -1
+    fin_rows, fin_cols = _greedy(group[rows].tolist(), ascending)
+    if fin_rows:
+        state.adopt(nodes[rows][fin_rows], np.asarray(fin_cols, dtype=np.int64))
+        report.colored += len(fin_rows)
+    # Bits: |P̂_K|+1 colors of O(log log n) bits each.
+    color_code_bits = bits_for_int(max(int(poly_log(net.n, 3.0, 1.0)), 2))
+    part = np.bincount(group[rows], minlength=num)
+    finish_rounds, bit_level = 0, 0
+    for s in np.flatnonzero(part).tolist():
+        waves, msg_bits = _waves(
+            (int(part[s]) + 1) * max(1, color_code_bits // 2), net.bandwidth_bits
+        )
+        bit_level = max(bit_level, msg_bits)
+        finish_rounds = max(finish_rounds, 2 * waves)
+    for _ in range(finish_rounds):
+        net.account_vector_round(int(rows.size), bit_level, phase=phase)
+    return compress_rounds, finish_rounds

@@ -72,13 +72,15 @@ def synchronized_color_trial(
     report = SCTReport()
     proposals = np.full(state.n, -1, dtype=np.int64)
 
+    aside_mask = np.zeros(state.n, dtype=bool)
+    for nodes in putaside.values():
+        aside_mask[nodes] = True
+
     permute_rounds = 0
     lp_messages = 0
     for c in range(info.num_cliques):
         members = info.members(c)
-        aside = set(int(v) for v in putaside.get(c, np.empty(0, dtype=np.int64)))
-        unc = members[state.colors[members] < 0]
-        s_nodes = np.array([v for v in unc if int(v) not in aside], dtype=np.int64)
+        s_nodes = members[(state.colors[members] < 0) & ~aside_mask[members]]
         if s_nodes.size == 0:
             continue
         report.cliques += 1
@@ -102,20 +104,21 @@ def synchronized_color_trial(
         )
         permute_rounds = max(permute_rounds, perm.rounds)
 
-        x_k = int(info.x_k[c])
-        row_of = {int(v): i for i, v in enumerate(knowledge.members)}
         # Lemma 3.6 feasibility diagnostic: enough colors above the prefix?
-        available_true = int((np.flatnonzero(knowledge.true_free) >= x_k).sum())
-        if available_true < s_nodes.size:
+        x_k = int(info.x_k[c])
+        if int(knowledge.true_free[x_k:].sum()) < s_nodes.size:
             report.palette_deficits += 1
 
-        for v, p in zip(perm.nodes, perm.pi):
-            v = int(v)
-            learned = knowledge.learned_palette(row_of[v])
-            learned = learned[learned >= x_k]
-            if p < learned.size:
-                proposals[v] = int(learned[p])
-                report.tried += 1
+        # The node at position p proposes the p-th color ≥ x(K) of its
+        # learned palette: the first column whose running count passes p.
+        nodes = np.asarray(perm.nodes, dtype=np.int64)
+        pi = np.asarray(perm.pi, dtype=np.int64)
+        learned = knowledge.known_free[np.searchsorted(members, nodes), x_k:]
+        rank = np.cumsum(learned, axis=1)
+        if rank.shape[1]:
+            ok = pi < rank[:, -1]
+            proposals[nodes[ok]] = x_k + (rank[ok] <= pi[ok, None]).sum(axis=1)
+            report.tried += int(ok.sum())
 
     # Charge the parallel LearnPalette round(s) and the max permute rounds.
     if report.cliques:
@@ -134,11 +137,9 @@ def synchronized_color_trial(
     )
 
     # Leftovers per clique (the Lemma 3.5 / Claim 3.8 measurement).
-    for c in range(info.num_cliques):
-        members = info.members(c)
-        aside = set(int(v) for v in putaside.get(c, np.empty(0, dtype=np.int64)))
-        unc = [v for v in members[state.colors[members] < 0] if int(v) not in aside]
-        report.leftover_by_clique[c] = len(unc)
+    left = (info.labels >= 0) & (state.colors < 0) & ~aside_mask
+    counts = np.bincount(info.labels[left], minlength=info.num_cliques)
+    report.leftover_by_clique = dict(enumerate(counts.tolist()))
 
     # Open cliques: extra TryColor rounds from Ψ(v)\[x(v)] (Lemma 3.7).
     open_cliques = info.cliques_of_kind("open")

@@ -380,6 +380,16 @@ class BroadcastNetwork:
             self.indptr, self.indices, nodes
         )
 
+    def row_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, dst)`` of every directed edge leaving ``nodes`` (any
+        order), row by row: ``row`` is the source's position in ``nodes``
+        — the batch-local form of :meth:`frontier_edges` that per-clique
+        kernels index their ``(len(nodes), ·)`` arrays with."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        return np.repeat(np.arange(nodes.size), self.degrees[nodes]), gather_csr_rows(
+            self.indptr, self.indices, nodes
+        )
+
     def undirected_edges(self) -> np.ndarray:
         """(m, 2) array of unique undirected edges (u < v)."""
         return self._und_edges

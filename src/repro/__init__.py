@@ -38,7 +38,7 @@ from repro.core.state import ColoringState
 from repro.dynamic import ChurnSchedule, DynamicColoring, UpdateBatch
 from repro.simulator.network import BroadcastNetwork
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "BroadcastColoring",

@@ -270,19 +270,6 @@ class ColoringConfig:
     pure function, so this knob never changes the coloring, only where
     it is computed.  0 forces the pool path (the tests use it)."""
 
-    dynamic_shard_resketch: bool = True
-    """Delta-aware ACD maintenance in
-    :class:`~repro.shard.dynamic.ShardedDynamicColoring` (k > 1): the
-    driver caches the minhash fingerprint grid under a fixed salt and, on
-    fallback, re-sketches only nodes whose closed neighborhood changed
-    since the last sketch
-    (:func:`~repro.hashing.fingerprints.refresh_minwise_fingerprints`)
-    instead of paying the full ``O(T·(n+m))`` sketch — the refreshed grid
-    is byte-identical to a from-scratch sketch of the current topology,
-    and only the changed fingerprints are re-broadcast.  ``False``
-    recomputes the decomposition from scratch inside the fallback
-    pipeline (the unsharded engine's discipline)."""
-
     # --- streaming service (repro.serve, DESIGN.md §8) ---
     serve_queue_max: int = 64
     """Admission control for ``repro serve``: the bounded depth of the

@@ -36,7 +36,6 @@ __all__ = [
     "AlmostCliqueDecomposition",
     "decompose_exact",
     "decompose_distributed",
-    "decompose_from_sketch",
 ]
 
 SPARSE = -1
@@ -344,31 +343,5 @@ def decompose_distributed(
         salt=seq.derive_seed("acd-hash") % (1 << 31),
         engine=cfg.acd_sketch_engine,
     )
-    similarity = estimate_edge_similarity(net, sketch)
-    return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)
-
-
-def decompose_from_sketch(
-    net: BroadcastNetwork,
-    sketch,
-    cfg: ColoringConfig | None = None,
-) -> AlmostCliqueDecomposition:
-    """Build the almost-clique decomposition from a *precomputed*
-    similarity sketch — the delta-aware maintenance seam (ISSUE 10).
-
-    Identical to :func:`decompose_distributed` except the sketch phase is
-    skipped: the caller hands in a
-    :class:`~repro.decomposition.minhash.SimilaritySketch` it maintains
-    incrementally (see
-    :func:`repro.hashing.fingerprints.refresh_minwise_fingerprints`) and
-    accounts the re-broadcast of only the changed fingerprints itself.
-    Friendship estimation, min-ID clustering, and the repair rounds run —
-    and are accounted — exactly as in the from-scratch path.
-    """
-    cfg = cfg or ColoringConfig.practical()
-    if net.undirected_edges().size == 0:
-        return AlmostCliqueDecomposition(
-            labels=np.full(net.n, SPARSE, dtype=np.int64), eps=cfg.eps
-        )
     similarity = estimate_edge_similarity(net, sketch)
     return _build(net, similarity, cfg, rounds_used=sketch.rounds_used)

@@ -433,8 +433,13 @@ class DynamicColoring:
 
     # ------------------------------------------------------------------
     def apply_batch(self, batch: UpdateBatch) -> BatchReport:
-        """Apply one update batch and restore the coloring invariant."""
+        """Apply one update batch and restore the coloring invariant.
+
+        A batch that fails validation raises ``ValueError`` before it
+        consumes a batch index or opens a span, so a rejected batch
+        leaves every later seed stream — and color — unchanged."""
         cfg, net = self.cfg, self.net
+        batch.validate(net.n)
         obs.enable_from_config(cfg)
         metrics = net.metrics
         t = self._batch_index
@@ -443,7 +448,6 @@ class DynamicColoring:
         t0 = time.perf_counter()
         rounds_before = metrics.total_rounds
         bits_before = metrics.total_bits
-        batch.validate(net.n)
 
         # ---- 1. delta merge (departures expand to incident edges) ----
         deletions = batch.delete_edges

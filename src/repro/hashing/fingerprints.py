@@ -28,7 +28,6 @@ __all__ = [
     "hash_array_u64",
     "mix_u64",
     "minwise_fingerprints",
-    "refresh_minwise_fingerprints",
     "pack_fingerprints",
     "packed_words_per_node",
 ]
@@ -113,18 +112,13 @@ def _column_layout(
 def _closed_minima(
     indptr: np.ndarray,
     indices: np.ndarray,
-    ids: np.ndarray,
     num_samples: int,
     bits: int,
     salt: int,
 ) -> np.ndarray:
     """``(T, R)`` b-bit minwise fingerprints of the closed neighbourhoods
-    of the R rows of the CSR ``(indptr, indices)``.
-
-    Row ``v`` is node ``ids[v]``; ``indices`` are positions in ``ids``, so
-    a caller may hash any sub-universe of node ids (``ids`` may be longer
-    than R: neighbours need not own a row).  Sample ``j`` hashes ``ids``
-    under salt ``salt*T + j``.
+    of the R rows of the CSR ``(indptr, indices)``.  Sample ``j`` hashes
+    the node ids ``0..R-1`` under salt ``salt*T + j``.
 
     Over the layout of :func:`_column_layout`, each column folds into the
     running minimum with one contiguous ``np.minimum`` and the tail rows
@@ -136,6 +130,7 @@ def _closed_minima(
         return fps
     order, columns, tail, tail_starts = _column_layout(indptr, indices)
     tail_rows = tail_starts.size
+    ids = np.arange(rows)
     unsort = np.argsort(order)
     mask = np.uint32((1 << bits) - 1)
     base = int(salt) * int(num_samples)
@@ -197,59 +192,7 @@ def minwise_fingerprints(
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
-    return _closed_minima(
-        indptr[: n + 1], indices, np.arange(n), num_samples, bits, salt
-    )
-
-
-def refresh_minwise_fingerprints(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n: int,
-    num_samples: int,
-    bits: int,
-    salt: int,
-    fps: np.ndarray,
-    nodes: np.ndarray,
-) -> np.ndarray:
-    """Recompute only ``nodes``' columns of a ``(T, n)`` fingerprint
-    matrix in place — byte-identical to a fresh
-    :func:`minwise_fingerprints` call on the current CSR, restricted to
-    the listed nodes.
-
-    This is the delta-aware sketch maintenance path: a node's
-    fingerprint is a pure function of ``(salt, sample, N[v])``, so after
-    a topology delta only nodes whose *closed* neighborhood changed need
-    re-hashing.  The same kernel runs over the refreshed nodes' local
-    universe (their ids plus their current neighbors, relabelled), so the
-    cost is ``O(T · (|nodes| + Σ deg(nodes)))`` instead of
-    ``O(T · (n + m))``.
-
-    ``fps`` must have shape ``(num_samples, n)`` and dtype uint16, and
-    ``salt``/``num_samples``/``bits`` must match the call that built it.
-    Returns ``fps`` (mutated in place) for chaining.
-    """
-    if not 1 <= bits <= 16:
-        raise ValueError("bits must be in [1, 16]")
-    if fps.shape != (num_samples, n):
-        raise ValueError(f"fps shape {fps.shape} != ({num_samples}, {n})")
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    if nodes.size and (nodes[0] < 0 or nodes[-1] >= n):
-        raise ValueError(f"node id out of range [0, {n})")
-    if nodes.size == 0 or num_samples == 0:
-        return fps
-    deg = indptr[nodes + 1] - indptr[nodes]
-    local_ptr = np.concatenate(([0], np.cumsum(deg)))
-    nb = indices[
-        np.arange(int(local_ptr[-1])) + np.repeat(indptr[nodes] - local_ptr[:-1], deg)
-    ]
-    # Local ids: the refreshed nodes own rows 0..k-1, then the neighbours
-    # that are not refreshed themselves.
-    ids = np.concatenate((nodes, np.setdiff1d(nb, nodes)))
-    rank = np.argsort(ids)
-    local_nb = rank[np.searchsorted(ids, nb, sorter=rank)]
-    fps[:, nodes] = _closed_minima(local_ptr, local_nb, ids, num_samples, bits, salt)
-    return fps
+    return _closed_minima(indptr[: n + 1], indices, num_samples, bits, salt)
 
 
 def packed_words_per_node(num_samples: int, bits: int) -> int:

@@ -48,12 +48,18 @@ from repro.config import ColoringConfig
 from repro.dynamic.engine import DynamicColoring
 from repro.faults import plan as faults
 
-__all__ = ["SNAPSHOT_FORMAT", "SnapshotInfo", "save_snapshot", "load_snapshot",
-           "restore_engine", "snapshot_generations", "sweep_stale_tmp"]
+__all__ = ["SNAPSHOT_FORMAT", "RETIRED_CONFIG_FIELDS", "SnapshotInfo",
+           "save_snapshot", "load_snapshot", "restore_engine",
+           "snapshot_generations", "sweep_stale_tmp"]
 
 SNAPSHOT_FORMAT = 1
 """Version stamp inside every snapshot; bumped on incompatible layout
 changes.  ``load_snapshot`` refuses snapshots with a larger stamp."""
+
+RETIRED_CONFIG_FIELDS = frozenset({"dynamic_shard_resketch"})
+"""Config fields older builds wrote into every snapshot that never
+influenced :class:`~repro.dynamic.DynamicColoring`; ``load_snapshot``
+drops them, so dropping them cannot change a restored engine."""
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,8 @@ def load_snapshot(path: str | os.PathLike) -> tuple[SnapshotInfo, dict]:
     ``colors`` and ``active``.  Raises ``ValueError`` for a snapshot
     written by a newer format or with unknown config fields (a snapshot
     is a contract, not a suggestion — silently dropping knobs would
-    break the restore ≡ never-crashed guarantee).  Every *corruption*
+    break the restore ≡ never-crashed guarantee); only
+    :data:`RETIRED_CONFIG_FIELDS` are dropped.  Every *corruption*
     mode — truncated zip, missing member, garbled JSON — is likewise
     normalized to ``ValueError`` so :func:`restore_engine` has a single
     failure type to fall back on; only a genuinely missing file keeps
@@ -241,13 +248,16 @@ def load_snapshot(path: str | os.PathLike) -> tuple[SnapshotInfo, dict]:
         raise ValueError(
             f"snapshot {path} has format {fmt}; this build reads ≤ {SNAPSHOT_FORMAT}"
         )
+    config = {
+        k: v for k, v in meta["config"].items() if k not in RETIRED_CONFIG_FIELDS
+    }
     known = {f.name for f in dataclasses.fields(ColoringConfig)}
-    unknown = set(meta["config"]) - known
+    unknown = set(config) - known
     if unknown:
         raise ValueError(
             f"snapshot {path} carries unknown config fields {sorted(unknown)}"
         )
-    cfg = ColoringConfig(**meta["config"])
+    cfg = ColoringConfig(**config)
     info = SnapshotInfo(
         path=str(path),
         format=fmt,

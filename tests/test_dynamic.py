@@ -431,6 +431,35 @@ class TestDynamicColoring:
             repair.summary()["total_rounds"] < full.summary()["total_rounds"]
         )
 
+    def test_rejected_batch_leaves_no_trace(self):
+        """A batch that fails validation consumes no batch index and
+        opens no span: every later seed stream, color and report equals
+        a clean engine's."""
+        from repro import obs
+
+        sched = make_churn("gnp-churn", 300, 8.0, seed=4, batches=3)
+        cfg = ColoringConfig.practical(seed=4, obs_trace=True)
+        try:
+            clean = DynamicColoring(sched, cfg)
+            engine = DynamicColoring(sched, cfg)
+            with pytest.raises(ValueError, match="out of range"):
+                engine.apply_batch(UpdateBatch(insert_edges=[(0, 300)]))
+            assert engine.batch_index == clean.batch_index
+            obs.drain_spans()
+            for batch in sched:
+                got = engine.apply_batch(batch).as_dict()
+                want = clean.apply_batch(batch).as_dict()
+                for d in (got, want):
+                    d.pop("seconds")
+                assert got == want
+            assert engine.colors.tolist() == clean.colors.tolist()
+            roots = [s for s in obs.drain_spans()
+                     if s["name"] == "dynamic.apply_batch"]
+            assert len(roots) == 6
+            assert all(s["parent"] == 0 for s in roots)
+        finally:
+            obs.disable()
+
 
 # ----------------------------------------------------------------------
 # The edgelist family (satellite)

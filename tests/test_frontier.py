@@ -26,7 +26,6 @@ from repro.dynamic import DynamicColoring, UpdateBatch, conflict_victims
 from repro.dynamic.engine import _palette_sizes, conflict_repair
 from repro.graphs.families import make_churn, make_graph
 from repro.serve.snapshot import restore_engine, save_snapshot
-from repro.shard.dynamic import ShardedDynamicColoring
 from repro.shard.engine import ShardedColoring
 from repro.simulator.network import BroadcastNetwork
 from repro.simulator.rng import SeedSequencer
@@ -302,21 +301,17 @@ class TestWarmStartCheck:
     @pytest.mark.parametrize("iters", [0, 1])
     def test_unreconciled_sharded_start_uses_pipeline(self, iters):
         """ShardedColoring stopped at shard_reconcile_max_iters leaves cut
-        conflicts; the sharded engine colors through the pipeline
-        instead of handing the improper result to the warm-start check."""
+        conflicts, so the warm-start check would refuse its result; serve's
+        ``initial: "sharded"`` load then colors through the pipeline
+        (tests/test_serve.py::test_sharded_initial_and_palette)."""
         graph = make_graph("gnp", 300, 10.0, seed=6)
         cfg = ColoringConfig.practical(
             seed=6, shard_k=3, shard_reconcile_max_iters=iters
         )
         res = ShardedColoring(graph, cfg).run()
         assert not res.proper and res.unresolved_conflicts > 0
-        engine = ShardedDynamicColoring(graph, cfg)
-        assert engine.is_proper() and (engine.colors >= 0).all()
-        assert engine.initial_rounds > res.rounds_total
-        report = engine.apply_batch(
-            UpdateBatch(insert_edges=np.array([[0, 299]]))
-        )
-        assert report.proper
+        with pytest.raises(ValueError, match="not proper"):
+            DynamicColoring(graph, cfg, initial_colors=res.colors)
 
     def test_improper_snapshot_falls_back_a_generation(self, tmp_path, capsys):
         sched = make_churn("gnp-churn", 200, 6.0, seed=3, batches=3,

@@ -8,7 +8,6 @@ from repro.hashing.fingerprints import (
     hash_array_u64,
     hash_u64,
     minwise_fingerprints,
-    refresh_minwise_fingerprints,
 )
 from repro.hashing.prg import RepresentativeSampler, expand_colors, expand_indices
 from repro.simulator.network import BroadcastNetwork
@@ -132,48 +131,3 @@ class TestMinwise:
         for j in range(8):
             h = (hash_array_u64(ids, salt=2 * 8 + j) >> np.uint64(32)).astype(np.uint32)
             assert int(fps[j, 2]) == int(h[2]) & 0xF
-
-
-class TestRefresh:
-    """refresh_minwise_fingerprints: the delta-aware sketch maintenance
-    kernel must be byte-identical to a full recompute on the refreshed
-    columns and must not touch any other column."""
-
-    @given(st.integers(0, 2**31), st.integers(2, 40), st.integers(1, 24))
-    @settings(max_examples=40, deadline=None)
-    def test_refresh_matches_full_recompute(self, seed, n, samples):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(0, 3 * n))
-        edges = rng.integers(0, n, size=(m, 2))
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        net = BroadcastNetwork((n, edges))
-        bits = int(rng.integers(1, 17))
-        salt = int(rng.integers(0, 2**30))
-        fresh = minwise_fingerprints(
-            net.indptr, net.indices, net.n, samples, bits, salt=salt
-        )
-        # Corrupt a random subset of columns, refresh exactly those, and
-        # demand the corruption is fully healed while the rest is intact.
-        k = int(rng.integers(0, n + 1))
-        nodes = rng.choice(n, size=k, replace=False)
-        stale = fresh.copy()
-        stale[:, nodes] ^= 1
-        out = refresh_minwise_fingerprints(
-            net.indptr, net.indices, net.n, samples, bits, salt, stale, nodes
-        )
-        assert out is stale  # in-place, returned for chaining
-        assert np.array_equal(stale, fresh)
-
-    def test_refresh_validates(self):
-        import pytest
-
-        net = BroadcastNetwork((4, [(0, 1)]))
-        fps = minwise_fingerprints(net.indptr, net.indices, 4, 5, 3, salt=0)
-        with pytest.raises(ValueError):
-            refresh_minwise_fingerprints(
-                net.indptr, net.indices, 4, 5, 3, 0, fps, np.array([4])
-            )
-        with pytest.raises(ValueError):
-            refresh_minwise_fingerprints(
-                net.indptr, net.indices, 4, 6, 3, 0, fps, np.array([0])
-            )

@@ -31,7 +31,12 @@ from repro.graphs.families import make_churn, make_graph
 from repro.serve import protocol as wire
 from repro.serve.client import ServeClient
 from repro.serve.coalesce import coalesce_batches
-from repro.serve.snapshot import load_snapshot, restore_engine, save_snapshot
+from repro.serve.snapshot import (
+    RETIRED_CONFIG_FIELDS,
+    load_snapshot,
+    restore_engine,
+    save_snapshot,
+)
 from repro.simulator.network import BroadcastNetwork
 
 
@@ -304,15 +309,38 @@ class TestSnapshot:
         import json
 
         schedule, cfg = self.make_run()
+        batches = list(schedule)
+        reference = DynamicColoring(schedule.initial, cfg)
+        for batch in batches:
+            reference.apply_batch(batch)
         engine = DynamicColoring(schedule.initial, cfg)
+        for batch in batches[:2]:
+            engine.apply_batch(batch)
         path = tmp_path / "state.npz"
-        save_snapshot(engine, path)
+        info = save_snapshot(engine, path)
         _, arrays = load_snapshot(path)
-        bad_cfg = dict(dataclasses.asdict(cfg), not_a_knob=1)
-        meta = {"format": 1, "n": engine.n, "m": 0, "batch_index": 0,
-                "config": bad_cfg}
-        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(),
-                                          dtype=np.uint8), **arrays)
+
+        def rewrite(**extra):
+            meta = {"format": 1, "n": engine.n, "m": info.m,
+                    "batch_index": info.batch_index,
+                    "config": dict(dataclasses.asdict(cfg), **extra)}
+            np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(),
+                                              dtype=np.uint8), **arrays)
+
+        # A snapshot written before a knob retired still restores, and
+        # byte-identically: the retired field never reached the engine.
+        assert "dynamic_shard_resketch" in RETIRED_CONFIG_FIELDS
+        rewrite(dynamic_shard_resketch=True)
+        loaded, _ = load_snapshot(path)
+        assert loaded.config == cfg
+        restored = restore_engine(path, fallback=False)
+        assert restored.colors.tolist() == engine.colors.tolist()
+        for batch in batches[2:]:
+            restored.apply_batch(batch)
+        assert restored.colors.tolist() == reference.colors.tolist()
+        assert restored.batch_index == reference.batch_index
+        # Any other unknown field is still a hard error.
+        rewrite(dynamic_shard_resketch=True, not_a_knob=1)
         with pytest.raises(ValueError, match="not_a_knob"):
             load_snapshot(path)
 
@@ -495,42 +523,6 @@ class TestLiveServer:
         finally:
             stop(proc)
 
-    def test_sharded_backend(self, tmp_path):
-        """backend="sharded" installs the delta-routed sharded
-        maintenance engine (ISSUE 10 tentpole's serve surface)."""
-        seed = 9
-        schedule = make_churn("gnp-churn", 240, 8.0, seed, batches=4,
-                              churn_fraction=0.1)
-        n, edges = schedule.initial
-        proc, sock = spawn_server(tmp_path, "--coalesce-max", "1")
-        try:
-            with ServeClient(socket_path=sock) as client:
-                loaded = client.load_graph(
-                    n, edges, seed=seed, backend="sharded", shard_k=3
-                )
-                assert loaded.backend == "sharded"
-                assert loaded.initial == "sharded"
-                for batch in schedule:
-                    report = client.update_batch(batch)
-                    assert report.report["proper"]
-                final = client.query_colors()
-                assert final.proper and final.complete
-                stats = client.stats()
-                assert stats["backend"] == "sharded"
-                # 'initial' only applies to the single engine.
-                with pytest.raises(wire.ProtocolError) as err:
-                    client.load_graph(
-                        n, edges, backend="sharded", initial="pipeline"
-                    )
-                assert err.value.code == "bad-payload"
-                with pytest.raises(wire.ProtocolError) as err:
-                    client.load_graph(n, edges, backend="bogus")
-                assert err.value.code == "bad-payload"
-                client.shutdown()
-            proc.wait(timeout=20)
-        finally:
-            stop(proc)
-
     def test_sharded_initial_and_palette(self, tmp_path):
         seed = 6
         n, edges = make_graph("gnp", 300, 10.0, seed)
@@ -541,7 +533,6 @@ class TestLiveServer:
                     n, edges, seed=seed, initial="sharded", shard_k=3
                 )
                 assert loaded.initial == "sharded"
-                assert loaded.backend == "single"
                 assert loaded.colors_used <= loaded.delta + 1
                 colors = client.query_colors()
                 assert colors.proper and colors.complete
@@ -563,12 +554,18 @@ class TestLiveServer:
                 colors = client.query_colors()
                 assert colors.proper and colors.complete
                 loaded = client.load_graph(
-                    n, edges, seed=seed, backend="sharded", shard_k=3,
+                    n, edges, seed=seed, initial="sharded", shard_k=3,
                     shard_reconcile_max_iters=1,
                 )
-                assert loaded.backend == "sharded"
+                assert loaded.initial == "pipeline"
                 colors = client.query_colors()
                 assert colors.proper and colors.complete
+                # 'initial' is the only reserved key; any other non-config
+                # key is an unknown config field.
+                with pytest.raises(wire.ProtocolError) as err:
+                    client.load_graph(n, edges, backend="sharded")
+                assert err.value.code == "bad-payload"
+                assert "backend" in err.value.message
                 client.shutdown()
             proc.wait(timeout=20)
         finally:
